@@ -24,16 +24,24 @@ import (
 	"nvariant/internal/reexpress"
 )
 
-// setupReps is how many times a run builds its stack; setup_s is the
-// median.
-const setupReps = 5
+// rounds is how many load phases an untraced run is split into. Each
+// round ends with its share of the crash recoveries and a timed rebuild
+// of the stack, so load, recovery and set-up are each sampled across
+// the whole run: a stretch of host slowdown shorter than half the run
+// moves a minority of every metric's samples instead of all of one
+// metric's. setup_s is the median of the rounds' builds.
+const rounds = 5
 
 // recoverReps is how many crash-and-restart recoveries a benign run
-// times after its load.
+// times, spread over its rounds.
 const recoverReps = 81
 
-// warmup runs before every measured window.
-const warmup = 500 * time.Millisecond
+// warmup runs before the first measured window of a load phase;
+// roundWarmup before those of later rounds, on the rebuilt stack.
+const (
+	warmup      = 500 * time.Millisecond
+	roundWarmup = 250 * time.Millisecond
+)
 
 // metric is one reported value.
 type metric struct {
@@ -59,6 +67,9 @@ func main() {
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintf(os.Stderr, "perfbench: bad arguments (workload %q, seconds %d, trace %d)\n", *name, *seconds, *trace)
 		os.Exit(2)
+	}
+	if w.procs > 0 {
+		runtime.GOMAXPROCS(w.procs)
 	}
 	in, err := generate(w, *seed, *seconds)
 	if err != nil {
@@ -173,34 +184,23 @@ func (b *bench) finish(t *target, probes int, tb *spanBuf) (stopReport, error) {
 	return rep, nil
 }
 
-// setup builds the workload's stack setupReps times up to its first
-// correct answer, keeps the last one, and returns the median set-up
-// time in seconds.
-func (b *bench) setup(reg *obs.Registry, tb *spanBuf) (*target, float64, error) {
-	var times []float64
-	var t *target
-	for i := 0; i < setupReps; i++ {
-		if t != nil {
-			if _, err := b.finish(t, 0, tb); err != nil {
-				return nil, 0, err
-			}
-		}
-		// Start every build, and the load after the last, from a heap
-		// holding no torn-down stack, so earlier builds do not set the
-		// run's peak memory or GC pacing.
-		runtime.GC()
-		t0 := time.Now()
-		var err error
-		if t, err = build(b.w, b.in, reg, tb); err != nil {
-			return nil, 0, err
-		}
-		if err := firstReply(t, b.in); err != nil {
-			_, _ = t.stop(tb)
-			return nil, 0, checkf("%v", err)
-		}
-		times = append(times, time.Since(t0).Seconds())
+// timedBuild builds the workload's stack up to its first correct answer
+// and returns it with the time that took in seconds.
+func (b *bench) timedBuild(reg *obs.Registry, tb *spanBuf) (*target, float64, error) {
+	// Start every build, and so the load after it, from a heap holding
+	// no torn-down stack, so earlier builds do not set the run's peak
+	// memory or GC pacing.
+	runtime.GC()
+	t0 := time.Now()
+	t, err := build(b.w, b.in, reg, tb)
+	if err != nil {
+		return nil, 0, err
 	}
-	return t, median(times), nil
+	if err := firstReply(t, b.in); err != nil {
+		_, _ = t.stop(tb)
+		return nil, 0, checkf("%v", err)
+	}
+	return t, time.Since(t0).Seconds(), nil
 }
 
 // windows is the number of one-second sub-windows a measured phase is
@@ -214,85 +214,125 @@ func (b *bench) schedule() []time.Duration {
 	return nil
 }
 
-// endToEnd is the untraced run: every end-to-end metric.
-func (b *bench) endToEnd() (*report, error) {
-	t, setupS, err := b.setup(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	l := runLoad(t, b.in, engineCount(b.w), warmup, b.dur, b.windows(), b.schedule(), nil, nil)
-	rss := peakRSS() // set-up and load; the recoveries below are not counted
-	s, err := b.account(&l)
-	if err != nil {
-		_, _ = t.stop(nil)
-		return nil, err
-	}
-	var recov []float64
-	if b.w.attack {
-		for _, p := range l.attack.probes {
-			recov = append(recov, ms(p.recover))
-		}
-	} else if recov, t, err = b.crashRecoveries(t); err != nil {
-		return nil, err
-	}
-	if _, err := b.finish(t, len(l.attack.probes), nil); err != nil {
-		return nil, err
-	}
+// windowMetrics holds each one-second sub-window's rates and latency
+// percentiles. Rates and percentiles are reported as medians over the
+// sub-windows, so a burst of outside interference moves one window, not
+// the result. A round's histograms are reduced to these values as it
+// ends, so the benchmark's live heap, and with it the program's GC
+// pacing, is the same in every round.
+type windowMetrics struct {
+	rps, kib, cpu, p50, p90 []float64
+	ok, samples             int
+	minBeyond               int // fewest samples beyond p90 in a window; -1 for none
+}
 
-	// Rates and percentiles are medians over one-second sub-windows, so
-	// a burst of outside interference moves one window, not the result.
-	var rps, kib, cpu, p50, p90 []float64
-	minBeyondSeen := -1
-	samples := 0
-	for i := range s.wins {
-		x := &s.wins[i]
-		samples += x.lat.n
+func (m *windowMetrics) add(wins []windowStat) {
+	for i := range wins {
+		x := &wins[i]
+		m.samples += x.lat.n
+		m.ok += x.ok
 		if x.ok == 0 {
 			continue
 		}
-		rps = append(rps, float64(x.ok)/x.secs)
-		kib = append(kib, float64(x.bytes)/1024/x.secs)
-		cpu = append(cpu, us(x.cpu)/float64(x.ok))
+		m.rps = append(m.rps, float64(x.ok)/x.secs)
+		m.kib = append(m.kib, float64(x.bytes)/1024/x.secs)
+		m.cpu = append(m.cpu, us(x.cpu)/float64(x.ok))
 		v50, _, _ := x.lat.percentile(50)
-		p50 = append(p50, float64(v50)/1e3)
+		m.p50 = append(m.p50, float64(v50)/1e3)
 		v90, beyond, ok := x.lat.percentile(90)
 		if ok {
-			p90 = append(p90, float64(v90)/1e3)
+			m.p90 = append(m.p90, float64(v90)/1e3)
 		}
-		if minBeyondSeen < 0 || beyond < minBeyondSeen {
-			minBeyondSeen = beyond
+		if m.minBeyond < 0 || beyond < m.minBeyond {
+			m.minBeyond = beyond
 		}
 	}
-	if len(p90) == 0 {
+}
+
+// endToEnd is the untraced run: every end-to-end metric.
+func (b *bench) endToEnd() (*report, error) {
+	n := min(rounds, b.windows())
+	var (
+		setups, recov      []float64
+		attempted, dropped int
+		probes             int
+	)
+	wm := windowMetrics{minBeyond: -1}
+	t, secs, err := b.timedBuild(nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	setups = append(setups, secs)
+	for r := 0; r < n; r++ {
+		share := func(total int) int { return total*(r+1)/n - total*r/n }
+		warm := roundWarmup
+		if r == 0 {
+			warm = warmup
+		}
+		w := share(b.windows())
+		l := runLoad(t, b.in, engineCount(b.w), warm, time.Duration(w)*time.Second, w, b.schedule(), nil, nil)
+		s, err := b.account(&l)
+		if err != nil {
+			_, _ = t.stop(nil)
+			return nil, err
+		}
+		wm.add(s.wins)
+		attempted += s.attempted()
+		dropped += s.dropped
+		probes += len(l.attack.probes)
+		if b.w.attack {
+			for _, p := range l.attack.probes {
+				recov = append(recov, ms(p.recover))
+			}
+		} else {
+			var rs []float64
+			if rs, t, err = b.crashRecoveries(t, recoverReps*r/n, share(recoverReps)); err != nil {
+				return nil, err
+			}
+			recov = append(recov, rs...)
+		}
+		if _, err := b.finish(t, len(l.attack.probes), nil); err != nil {
+			return nil, err
+		}
+		if r == n-1 {
+			break
+		}
+		if t, secs, err = b.timedBuild(nil, nil); err != nil {
+			return nil, err
+		}
+		setups = append(setups, secs)
+	}
+	rss := peakRSS()
+
+	if len(wm.p90) == 0 {
 		return nil, fmt.Errorf("run too short: no sub-window has %d samples beyond its p90", minBeyond)
 	}
-	fmt.Printf("# per-window req/s %.0f\n# per-window p90 us %.1f\n", rps, p90)
-	attempted := s.attempted()
-	fmt.Printf("# requests ok=%d dropped-first-try=%d failed=%d latency-samples=%d windows=%d p90-windows=%d min-beyond-p90=%d probes=%d recoveries=%d\n",
-		s.ok(), s.dropped, s.failed, samples, len(rps), len(p90), minBeyondSeen, len(l.attack.probes), len(recov))
+	fmt.Printf("# per-window req/s %.0f\n# per-window p90 us %.1f\n", wm.rps, wm.p90)
+	fmt.Printf("# requests ok=%d dropped-first-try=%d failed=%d latency-samples=%d rounds=%d windows=%d p90-windows=%d min-beyond-p90=%d probes=%d recoveries=%d builds=%d\n",
+		wm.ok, dropped, b.failed, wm.samples, n, len(wm.rps), len(wm.p90), wm.minBeyond, probes, len(recov), len(setups))
 	m := map[string]metric{
-		"throughput_rps": {median(rps), "req/s"},
-		"goodput_kib_s":  {median(kib), "KiB/s"},
-		"latency_p50_us": {median(p50), "us"},
-		"latency_p90_us": {median(p90), "us"},
-		"cpu_us_per_req": {median(cpu), "us"},
-		"success_ratio":  {float64(attempted-s.dropped) / float64(attempted), "ratio"},
+		"throughput_rps": {median(wm.rps), "req/s"},
+		"goodput_kib_s":  {median(wm.kib), "KiB/s"},
+		"latency_p50_us": {median(wm.p50), "us"},
+		"latency_p90_us": {median(wm.p90), "us"},
+		"cpu_us_per_req": {median(wm.cpu), "us"},
+		"success_ratio":  {float64(attempted-dropped) / float64(attempted), "ratio"},
 		"recover_ms_p50": {median(recov), "ms"},
-		"setup_s":        {setupS, "s"},
+		"setup_s":        {median(setups), "s"},
 		"rss_peak_mib":   {rss, "MiB"},
 	}
 	return &report{Correct: true, Attempted: b.attempted, Failed: b.failed, Metrics: m}, nil
 }
 
-// crashRecoveries crashes part of a benign workload's stack
-// recoverReps times after its load and times each recovery up to full
-// size: a lone group is stopped and restarted with a fresh spec up to
-// its first correct answer; a mesh pool loses its oldest group and is
-// awaited until replenished. It returns the recovery times in ms and
-// the target left running.
-func (b *bench) crashRecoveries(t *target) ([]float64, *target, error) {
+// crashRecoveries crashes part of a benign workload's stack count
+// times, numbering the crashes from first, and times each recovery up
+// to full size: a lone group is stopped and restarted with a fresh spec
+// up to its first correct answer; a mesh pool loses its oldest group
+// and is awaited until replenished. It returns the recovery times in ms
+// and the target left running.
+func (b *bench) crashRecoveries(t *target, first, count int) ([]float64, *target, error) {
 	var out []float64
-	for i := 0; i < recoverReps; i++ {
+	for i := first; i < first+count; i++ {
 		t0 := time.Now()
 		if t.kind == stackGroup {
 			if _, err := b.finish(t, 0, nil); err != nil {
@@ -337,7 +377,7 @@ func (b *bench) traced() (*report, error) {
 	slice := b.dur / 3
 
 	// Untraced slice.
-	t, _, err := b.setup(nil, nil)
+	t, _, err := b.timedBuild(nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +400,7 @@ func (b *bench) traced() (*report, error) {
 	tr := newTracer()
 	life := tr.buf()
 	reg := obs.NewRegistry()
-	if t, _, err = b.setup(reg, life); err != nil {
+	if t, _, err = b.timedBuild(reg, life); err != nil {
 		return nil, err
 	}
 	var before, after scrape

@@ -34,11 +34,21 @@ type workload struct {
 	stack  stackKind
 	large  bool // serve largeDocs documents written into the world
 	attack bool // an open-loop attacker probes the stack
+	procs  int  // GOMAXPROCS of the run; 0 leaves the default
 }
 
+// A lone group runs its variants in lockstep: every rendezvous waits for
+// all of them, so a goroutine held on a descheduled CPU stalls the work
+// queued on the other, and a second CPU buys no parallelism. On the
+// shared two-vCPU reference machine, interleaved runs at GOMAXPROCS 2
+// and 1 spread 0.22 and 0.10 in throughput on group-small (0.12 and
+// 0.07 on group-large), and 1 served 23–28% more requests per second,
+// so the group workloads run at 1. The fleet and mesh workloads keep
+// the default: their groups do run in parallel, and at 1 fleet-attack
+// served ~40% fewer requests.
 var workloads = []workload{
-	{name: "group-small", stack: stackGroup},
-	{name: "group-large", stack: stackGroup, large: true},
+	{name: "group-small", stack: stackGroup, procs: 1},
+	{name: "group-large", stack: stackGroup, large: true, procs: 1},
 	{name: "mesh-zipf", stack: stackMesh},
 	{name: "fleet-attack", stack: stackFleet, attack: true},
 }
