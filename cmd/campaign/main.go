@@ -1,24 +1,29 @@
-// Command campaign runs the chaos campaign: the expanded attack corpus
-// swept against seeded fault plans across group size, worker-lane
-// count and variation stack, emitting a deterministic JSON matrix of
-// detection / false-alarm / throughput-retained results on stdout.
-// The same -seed reproduces byte-identical output, so any finding is a
-// replayable regression test:
+// Command campaign runs a campaign of the one campaign engine
+// (internal/campaign) and emits its deterministic JSON matrix on
+// stdout. The same -seed reproduces byte-identical output, so any
+// finding is a replayable regression test:
 //
-//	go run ./cmd/campaign -seed 1 -check
-//	go run ./cmd/campaign -seed 1 -fault-only -check   # transparency matrix
-//	go run ./cmd/campaign -seed 1 -quorum -check       # K-of-N survival matrix
+//	go run ./cmd/campaign -preset default -check      # corpus × faults, fleet, quorum
+//	go run ./cmd/campaign -preset fault-only -check   # transparency matrix
+//	go run ./cmd/campaign -preset quorum -check       # K-of-N survival matrix
+//	go run ./cmd/campaign -preset mesh -check         # pools × rotation × faults × attack
+//	go run ./cmd/campaign -preset mesh -pools 2 -rotation on \
+//	    -faults net-mixed -attacks forge-uid          # replay one cell
+//
+// The narrowing flags filter the preset's cells without changing the
+// surviving cells' bytes: cell seeds derive from cell labels, not
+// sweep position.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
-	"nvariant/internal/attack"
-	"nvariant/internal/chaos"
+	"nvariant/internal/campaign"
 	"nvariant/internal/obs"
 )
 
@@ -31,75 +36,65 @@ func main() {
 
 func run() error {
 	var (
-		seed      = flag.Int64("seed", 1, "campaign seed; the same seed reproduces byte-identical output")
-		requests  = flag.Int("requests", 0, "benign requests per cell (0 = config default)")
-		ns        = flag.String("n", "", "comma-separated group sizes to sweep (empty = config default)")
-		workers   = flag.String("workers", "", "comma-separated worker-lane counts (empty = config default)")
-		stacks    = flag.String("stacks", "", "comma-separated variation stacks: uid+addr+files, addr+files")
-		attacks   = flag.String("attacks", "", "comma-separated scenario names; 'none' is the benign cell (empty = none + full corpus)")
-		faults    = flag.String("faults", "", "comma-separated fault plans; 'all' = every standard plan (empty = config default)")
-		faultOnly = flag.Bool("fault-only", false, "transparency campaign: transparent faults only, no attacks, N in {2,3,5}, W in {1,4}")
-		quorum    = flag.Bool("quorum", false, "quorum campaign: crash/stall survival and quorum-lost cells at K=2 plus fleet eviction/respawn cells")
-		noFleet   = flag.Bool("no-fleet", false, "skip the fleet restart/recovery section")
-		noSweep   = flag.Bool("no-bytesweep", false, "skip the word-level mask-byte brute force")
-		check     = flag.Bool("check", false, "exit non-zero if the matrix violates the detection / false-alarm contract")
-		human     = flag.Bool("v", false, "also print the human-readable summary to stderr")
-		opsAddr   = flag.String("ops", "", "serve /metrics and pprof on this host address while the campaign runs (never alters the JSON)")
+		preset     = flag.String("preset", "default", "campaign preset: "+strings.Join(campaign.Presets(), ", "))
+		seed       = flag.Int64("seed", 1, "campaign seed; the same seed reproduces byte-identical output")
+		requests   = flag.Int("requests", 0, "benign requests per cell (0 = preset default)")
+		topologies = flag.String("topology", "", "keep only these comma-separated topologies: group, fleet, mesh")
+		attacks    = flag.String("attacks", "", "keep only these comma-separated attacks ('none' is the benign cell)")
+		faults     = flag.String("faults", "", "keep only these comma-separated fault plans")
+		stacks     = flag.String("stacks", "", "keep only these comma-separated stacks: uid+addr+files, addr+files")
+		ns         = flag.String("n", "", "keep only these comma-separated group sizes (byte sweeps too)")
+		workers    = flag.String("workers", "", "keep only these comma-separated worker-lane counts")
+		pools      = flag.String("pools", "", "keep only mesh cells with these comma-separated pool counts")
+		rotation   = flag.String("rotation", "", "keep only mesh cells with this rotation setting: on or off")
+		noSweep    = flag.Bool("no-bytesweep", false, "skip the word-level mask-byte brute force")
+		check      = flag.Bool("check", false, "exit non-zero if the matrix violates the campaign contract")
+		human      = flag.Bool("v", false, "also print the human-readable summary to stderr")
+		opsAddr    = flag.String("ops", "", "serve /metrics and pprof on this host address while the campaign runs (never alters the JSON)")
 	)
 	flag.Parse()
 
-	cfg := chaos.DefaultConfig(*seed)
-	if *faultOnly {
-		cfg = chaos.FaultOnlyConfig(*seed)
+	cfg, err := campaign.Preset(*preset, *seed)
+	if err != nil {
+		return err
 	}
-	if *quorum {
-		cfg = chaos.QuorumConfig(*seed)
-	}
-	if *requests > 0 {
-		cfg.Requests = *requests
-	}
-	var err error
-	if cfg.Ns, err = overrideInts(cfg.Ns, *ns); err != nil {
+	nList, err := ints(*ns)
+	if err != nil {
 		return fmt.Errorf("-n: %w", err)
 	}
-	if cfg.Workers, err = overrideInts(cfg.Workers, *workers); err != nil {
+	wList, err := ints(*workers)
+	if err != nil {
 		return fmt.Errorf("-workers: %w", err)
 	}
-	if *stacks != "" {
-		cfg.Stacks = splitList(*stacks)
+	pList, err := ints(*pools)
+	if err != nil {
+		return fmt.Errorf("-pools: %w", err)
 	}
-	if *attacks != "" {
-		cfg.Attacks = cfg.Attacks[:0]
-		for _, name := range splitList(*attacks) {
-			if name == "none" {
-				cfg.Attacks = append(cfg.Attacks, chaos.NoAttack())
-				continue
-			}
-			sc, err := attack.ScenarioByName(name)
-			if err != nil {
-				return err
-			}
-			cfg.Attacks = append(cfg.Attacks, sc)
+	if *rotation != "" && *rotation != "on" && *rotation != "off" {
+		return fmt.Errorf("-rotation: want on or off, got %q", *rotation)
+	}
+	cfg.Cells = slices.DeleteFunc(cfg.Cells, func(s campaign.Spec) bool {
+		if s.Topology != campaign.Mesh && (len(pList) > 0 || *rotation != "") {
+			return true // -pools and -rotation select mesh cells
 		}
-	}
-	if *faults == "all" {
-		cfg.Faults = chaos.Plans()
-	} else if *faults != "" {
-		cfg.Faults = cfg.Faults[:0]
-		for _, name := range splitList(*faults) {
-			p, err := chaos.PlanByName(name)
-			if err != nil {
-				return err
-			}
-			cfg.Faults = append(cfg.Faults, p)
+		rot := "off"
+		if s.Rotation {
+			rot = "on"
 		}
-	}
-	if *noFleet {
-		cfg.Fleet = false
+		return !keep(*topologies, s.Topology) || !keep(*attacks, s.Attack.Name) ||
+			!keep(*faults, s.Fault.Name) || !keep(*stacks, s.Stack) ||
+			!keepInt(nList, s.N) || !keepInt(wList, s.Workers) ||
+			!keepInt(pList, s.Pools) || !keep(*rotation, rot)
+	})
+	if *requests > 0 {
+		for i := range cfg.Cells {
+			cfg.Cells[i].Requests = *requests
+		}
 	}
 	if *noSweep {
-		cfg.ByteSweep = false
+		cfg.ByteSweep = nil
 	}
+	cfg.ByteSweep = slices.DeleteFunc(cfg.ByteSweep, func(n int) bool { return !keepInt(nList, n) })
 
 	if *opsAddr != "" {
 		reg := obs.NewRegistry()
@@ -112,7 +107,7 @@ func run() error {
 		cfg.Obs = reg
 	}
 
-	res, err := chaos.Run(cfg)
+	res, err := campaign.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -137,25 +132,31 @@ func run() error {
 	return nil
 }
 
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		if tok = strings.TrimSpace(tok); tok != "" {
-			out = append(out, tok)
+// keep reports whether value is in the comma-separated list (an empty
+// list keeps everything).
+func keep(list, value string) bool {
+	if list == "" {
+		return true
+	}
+	for _, tok := range strings.Split(list, ",") {
+		if strings.TrimSpace(tok) == value {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// overrideInts parses a comma-separated int list, keeping def when the
-// flag is empty.
-func overrideInts(def []int, s string) ([]int, error) {
-	if s == "" {
-		return def, nil
-	}
+// keepInt reports whether v is in the list (an empty list keeps
+// everything).
+func keepInt(list []int, v int) bool { return len(list) == 0 || slices.Contains(list, v) }
+
+// ints parses a comma-separated int list.
+func ints(s string) ([]int, error) {
 	var out []int
-	for _, tok := range splitList(s) {
+	for _, tok := range strings.Split(s, ",") {
+		if tok = strings.TrimSpace(tok); tok == "" {
+			continue
+		}
 		v, err := strconv.Atoi(tok)
 		if err != nil {
 			return nil, fmt.Errorf("bad int %q", tok)

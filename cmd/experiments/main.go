@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"nvariant/internal/campaign"
 	"nvariant/internal/experiments"
 )
 
@@ -18,7 +19,7 @@ func main() {
 
 func run() error {
 	workers := flag.Int("workers", 0, "prefork worker-lane count for the nsweep servers (0 = serial)")
-	seed := flag.Int64("seed", 0, "chaos campaign seed (0 = fixed default)")
+	seed := flag.Int64("seed", 1, "chaos and faultonly campaign seed")
 	flag.Parse()
 	which := flag.Args()
 	if len(which) == 0 {
@@ -76,14 +77,16 @@ func run() error {
 				return err
 			}
 			res.Fprint(os.Stdout)
-		case "chaos":
-			res, err := experiments.RunChaosCampaign(*seed)
+		case "chaos", "faultonly":
+			preset := "default"
+			if name == "faultonly" {
+				preset = "fault-only"
+			}
+			cfg, err := campaign.Preset(preset, *seed)
 			if err != nil {
 				return err
 			}
-			res.Fprint(os.Stdout)
-		case "faultonly":
-			res, err := experiments.RunFaultOnlyCampaign(*seed)
+			res, err := campaign.Run(cfg)
 			if err != nil {
 				return err
 			}

@@ -1,22 +1,9 @@
-// Command meshbench exercises the sharded mesh: a router-throughput
-// sweep across pool counts with and without moving-target rotation,
-// the seeded rotation campaign, and the unified mesh×chaos campaign —
-// routing, retry-with-backoff, health scoring, rotation, and fault
-// injection measured in one deterministic JSON matrix.
+// Command meshbench measures the sharded mesh's router throughput: a
+// sweep across pool counts with and without moving-target rotation.
+// The seeded mesh campaigns live in cmd/campaign (-preset mesh).
 //
 //	go run ./cmd/meshbench                      # throughput sweep
 //	go run ./cmd/meshbench -rotate-every 8      # sweep under rotation
-//	go run ./cmd/meshbench -campaign -check     # rotation campaign, gated
-//	go run ./cmd/meshbench -chaos -check        # unified mesh×chaos campaign, gated
-//	go run ./cmd/meshbench -chaos -fault net-mixed -attack forge-uid \
-//	    -pools 2 -rotations on                  # replay one cell of the matrix
-//
-// Campaign output is byte-identical per -seed (the CI mesh-smoke and
-// mesh-chaos-smoke jobs replay it and compare), so any finding is a
-// replayable regression test. Narrowing flags (-fault, -attack,
-// -pools, -rotations) filter the sweep without changing the surviving
-// cells' bytes: cell seeds derive from cell labels, not sweep
-// position.
 package main
 
 import (
@@ -29,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"nvariant/internal/chaos"
 	"nvariant/internal/fleet"
 	"nvariant/internal/httpd"
 	"nvariant/internal/mesh"
@@ -46,23 +32,13 @@ func main() {
 
 func run() error {
 	var (
-		campaign    = flag.Bool("campaign", false, "run the seeded rotation campaign and emit its JSON matrix on stdout")
-		chaosMode   = flag.Bool("chaos", false, "run the unified mesh×chaos campaign and emit its JSON matrix on stdout")
-		faultFlag   = flag.String("fault", "", "chaos: narrow the sweep to these comma-separated fault plans (default: campaign's standard set)")
-		attackFlag  = flag.String("attack", "", "chaos: narrow the sweep to these comma-separated attack modes (none, forge-uid)")
-		rotFlag     = flag.String("rotations", "", "chaos: narrow the sweep to rotation settings: on, off, or on,off")
-		retryBudget = flag.Int("retry-budget", 0, "chaos: per-session retry budget (0 = default)")
-		seed        = flag.Int64("seed", 1, "seed; the same seed reproduces byte-identical campaign output")
-		requests    = flag.Int("requests", 0, "campaign: benign requests per cell (0 = default); sweep: requests per session (0 = 40)")
+		seed        = flag.Int64("seed", 1, "mesh seed")
+		requests    = flag.Int("requests", 40, "requests per session")
 		poolsFlag   = flag.String("pools", "1,2,4", "comma-separated pool counts to sweep")
 		groups      = flag.Int("groups", 2, "groups per pool")
-		rotateEvery = flag.Uint64("rotate-every", 0, "sweep: rotate every N dispatches (0 = off); campaign cadence uses -campaign-rotate")
-		campRotate  = flag.Uint64("campaign-rotate", 0, "campaign: rotation cadence in mesh ticks (0 = default)")
-		probes      = flag.Int("probes", 0, "campaign: forged-UID probes per attack cell (0 = default)")
+		rotateEvery = flag.Uint64("rotate-every", 0, "rotate every N dispatches (0 = off)")
 		policyFlag  = flag.String("policy", "hash", "routing policy: hash or affinity")
-		sessions    = flag.Int("sessions", 8, "sweep: concurrent sticky sessions per run")
-		check       = flag.Bool("check", false, "campaign: exit non-zero on contract violations")
-		human       = flag.Bool("v", false, "campaign: also print the human-readable summary to stderr")
+		sessions    = flag.Int("sessions", 8, "concurrent sticky sessions per run")
 		opsAddr     = flag.String("ops", "", "serve /metrics and the merged /audit tail on this host address while running")
 	)
 	flag.Parse()
@@ -75,128 +51,12 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("-pools: %w", err)
 	}
-
-	if *chaosMode {
-		cfg := mesh.ChaosCampaignConfig{
-			Seed:        *seed,
-			Requests:    *requests,
-			Groups:      *groups,
-			RotateEvery: *campRotate,
-			Probes:      *probes,
-			RetryBudget: *retryBudget,
-			Policy:      policy,
-		}
-		// -pools doubles as a narrowing flag here: only an explicit value
-		// overrides the campaign's own default sweep.
-		if flagWasSet("pools") {
-			cfg.Pools = pools
-		}
-		if *rotFlag != "" {
-			rot, err := parseRotations(*rotFlag)
-			if err != nil {
-				return fmt.Errorf("-rotations: %w", err)
-			}
-			cfg.Rotations = rot
-		}
-		if *faultFlag != "" {
-			plans, err := parsePlans(*faultFlag)
-			if err != nil {
-				return fmt.Errorf("-fault: %w", err)
-			}
-			cfg.Faults = plans
-		}
-		if *attackFlag != "" {
-			cfg.Attacks = splitList(*attackFlag)
-		}
-		if *opsAddr != "" {
-			reg := obs.NewRegistry()
-			srv, err := obs.StartServer(*opsAddr, reg, nil)
-			if err != nil {
-				return fmt.Errorf("-ops: %w", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "meshbench: ops server on http://%s\n", srv.Addr)
-			cfg.Obs = reg
-		}
-		res, err := mesh.RunChaosCampaign(cfg)
-		if err != nil {
-			return err
-		}
-		out, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-		if *human {
-			res.Fprint(os.Stderr)
-		}
-		if *check {
-			if v := res.Check(); len(v) > 0 {
-				for _, violation := range v {
-					fmt.Fprintln(os.Stderr, "violation:", violation)
-				}
-				return fmt.Errorf("%d contract violations", len(v))
-			}
-		}
-		return nil
-	}
-
-	if *campaign {
-		cfg := mesh.CampaignConfig{
-			Seed:        *seed,
-			Requests:    *requests,
-			Pools:       pools,
-			Groups:      *groups,
-			RotateEvery: *campRotate,
-			Probes:      *probes,
-			Policy:      policy,
-		}
-		if *opsAddr != "" {
-			reg := obs.NewRegistry()
-			srv, err := obs.StartServer(*opsAddr, reg, nil)
-			if err != nil {
-				return fmt.Errorf("-ops: %w", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "meshbench: ops server on http://%s\n", srv.Addr)
-			cfg.Obs = reg
-		}
-		res, err := mesh.RunCampaign(cfg)
-		if err != nil {
-			return err
-		}
-		out, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-		if *human {
-			res.Fprint(os.Stderr)
-		}
-		if *check {
-			if v := res.Check(); len(v) > 0 {
-				for _, violation := range v {
-					fmt.Fprintln(os.Stderr, "violation:", violation)
-				}
-				return fmt.Errorf("%d contract violations", len(v))
-			}
-		}
-		return nil
-	}
-
 	return sweep(pools, policy, *groups, *sessions, *requests, *rotateEvery, *seed, *opsAddr)
 }
 
 // sweep measures router dispatch throughput and latency per pool
 // count, with optional rotation churning underneath the load.
 func sweep(pools []int, policy mesh.RouterPolicy, groups, sessions, perSession int, rotateEvery uint64, seed int64, opsAddr string) error {
-	if perSession <= 0 {
-		perSession = 40
-	}
 	var reg *obs.Registry
 	if opsAddr != "" {
 		reg = obs.NewRegistry()
@@ -273,61 +133,6 @@ func sweep(pools []int, policy mesh.RouterPolicy, groups, sessions, perSession i
 			stats.Rotations, stats.Shed)
 	}
 	return nil
-}
-
-// flagWasSet reports whether the named flag appeared on the command
-// line (as opposed to holding its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		if tok = strings.TrimSpace(tok); tok != "" {
-			out = append(out, tok)
-		}
-	}
-	return out
-}
-
-func parsePlans(s string) ([]chaos.Plan, error) {
-	var out []chaos.Plan
-	for _, name := range splitList(s) {
-		p, err := chaos.PlanByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty plan list")
-	}
-	return out, nil
-}
-
-func parseRotations(s string) ([]bool, error) {
-	var out []bool
-	for _, tok := range splitList(s) {
-		switch tok {
-		case "on", "true":
-			out = append(out, true)
-		case "off", "false":
-			out = append(out, false)
-		default:
-			return nil, fmt.Errorf("bad rotation setting %q (on, off)", tok)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty rotation list")
-	}
-	return out, nil
 }
 
 func parsePolicy(s string) (mesh.RouterPolicy, error) {

@@ -1,10 +1,10 @@
 package chaos_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
-	"nvariant/internal/chaos"
 	"nvariant/internal/obs"
 )
 
@@ -18,33 +18,16 @@ func TestCampaignInstrumentationPreservesJSON(t *testing.T) {
 		t.Skip("multi-seed campaign crossing")
 	}
 	for _, seed := range []int64{1, 7, 13} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			plain := smallConfig(seed)
-			res1, err := chaos.Run(plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j1, err := res1.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, j1 := runJSON(t, smallConfig(seed))
 
 			instrumented := smallConfig(seed)
 			instrumented.Obs = obs.NewRegistry()
-			res2, err := chaos.Run(instrumented)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j2, err := res2.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, j2 := runJSON(t, instrumented)
 
-			if !bytesEqual(j1, j2) {
-				t.Errorf("seed %d: instrumentation changed the matrix: %s",
-					seed, firstDiff(j1, j2))
+			if !bytes.Equal(j1, j2) {
+				t.Errorf("seed %d: instrumentation changed the matrix: %s", seed, firstDiff(j1, j2))
 			}
 
 			// The registry must actually have seen traffic — a silently
@@ -52,18 +35,15 @@ func TestCampaignInstrumentationPreservesJSON(t *testing.T) {
 			if got := instrumented.Obs.Counter("nvk_syscalls_total", "", obs.L("call", "exit")).Value(); got == 0 {
 				t.Error("instrumented campaign recorded no syscalls")
 			}
+			var text bytes.Buffer
+			if err := instrumented.Obs.WritePrometheus(&text); err != nil {
+				t.Fatal(err)
+			}
+			for _, family := range []string{"nvk_syscalls_total", "fleet_dispatched_total", "simnet_messages_total", "httpd_requests_total", "nvk_evictions_total"} {
+				if !bytes.Contains(text.Bytes(), []byte(family)) {
+					t.Errorf("registry missing %s after instrumented campaign", family)
+				}
+			}
 		})
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,48 +1,49 @@
 package chaos_test
 
+// The chaos fault plans driven through the campaign engine: the group,
+// fleet and quorum cells' determinism and contract, per fault plan.
+
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
-	"nvariant/internal/attack"
+	"nvariant/internal/campaign"
 	"nvariant/internal/chaos"
 )
 
-// smallConfig is a fast campaign crossing that still exercises every
-// moving part: benign + detecting + flood scenarios, a transparent and
-// a crash fault plan, serial and prefork groups, and the fleet section.
-func smallConfig(seed int64) chaos.Config {
-	forge, err := attack.ScenarioByName("forge-root-uid")
+// smallConfig is a fast narrowing of the default campaign that still
+// exercises every moving part: benign, detecting and flood scenarios
+// under every fault plan on serial and prefork full-stack groups; the
+// cross-lane corruption against undefended prefork groups, whose leak
+// must replay; the fleet cells with one probe each; and the quorum
+// cells.
+func smallConfig(seed int64) campaign.Config {
+	cfg, err := campaign.Preset("default", seed)
 	if err != nil {
 		panic(err)
 	}
-	flood, err := attack.ScenarioByName("malformed-flood")
-	if err != nil {
-		panic(err)
+	cfg.ByteSweep = nil
+	cfg.Cells = slices.DeleteFunc(cfg.Cells, func(s campaign.Spec) bool {
+		if s.Topology != campaign.Group || s.K > 0 {
+			return false
+		}
+		defended := s.Stack == campaign.StackFull &&
+			slices.Contains([]string{"none", "forge-root-uid", "malformed-flood"}, s.Attack.Name)
+		undefended := s.Stack == campaign.StackBaseline && s.Attack.Name == "cross-lane-corruption" && s.Workers == 2
+		return s.N != 2 || !(defended || undefended)
+	})
+	for i := range cfg.Cells {
+		cfg.Cells[i].Requests = 6
 	}
-	cfg := chaos.DefaultConfig(seed)
-	cfg.Requests = 6
-	cfg.Ns = []int{2}
-	cfg.Workers = []int{1, 2}
-	cfg.Stacks = []string{chaos.StackFull}
-	cfg.Attacks = []attack.Scenario{chaos.NoAttack(), forge, flood}
-	cfg.ByteSweep = false
-	cfg.FleetGroups = 2
-	cfg.FleetProbes = 1
 	return cfg
 }
 
-// firstDiff reports the first line where two renderings diverge —
-// go-cmp is not vendored in this module, so the comparison is
-// byte-wise with a line-level report for debugging.
+// firstDiff reports the first line where two renderings diverge.
 func firstDiff(a, b []byte) string {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(al), len(bl)); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
 			return fmt.Sprintf("line %d: %q != %q", i+1, al[i], bl[i])
 		}
@@ -50,46 +51,50 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("length mismatch: %d vs %d lines", len(al), len(bl))
 }
 
+// runJSON runs a campaign and renders its matrix.
+func runJSON(t *testing.T, cfg campaign.Config) (*campaign.Result, []byte) {
+	t.Helper()
+	r, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, j
+}
+
 func TestCampaignSameSeedByteIdenticalJSON(t *testing.T) {
 	cfg := smallConfig(7)
-	r1, err := chaos.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := chaos.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := r2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, j1 := runJSON(t, cfg)
+	_, j2 := runJSON(t, cfg)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("same seed produced different matrices: %s", firstDiff(j1, j2))
 	}
 	if v := r1.Check(); len(v) > 0 {
 		t.Fatalf("campaign contract violated: %v", v)
 	}
+	if r1.Summary.UndefendedLeaks == 0 {
+		t.Error("no cross-lane corruption leaked from an undefended prefork group — the attack is not reaching the corrupted lane")
+	}
 }
 
 func TestFaultOnlyCampaignZeroFalseAlarms(t *testing.T) {
-	// The satellite contract: every transparent fault plan against
-	// healthy full-stack groups at N ∈ {2,3,5}, W ∈ {1,4} must produce
-	// zero alarms — the paper's transparency-under-benign-faults claim
-	// swept across the whole chaos plan set.
-	cfg := chaos.FaultOnlyConfig(3)
-	cfg.Requests = 8
-	r, err := chaos.Run(cfg)
+	// Every transparent fault plan against healthy full-stack groups at
+	// N ∈ {2,3,5}, W ∈ {1,4} must produce zero alarms — the paper's
+	// transparency-under-benign-faults claim swept across the whole
+	// chaos plan set.
+	cfg, err := campaign.Preset("fault-only", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(chaos.TransparentPlans()) * len(cfg.Ns) * len(cfg.Workers)
-	if len(r.Cells) != wantCells {
-		t.Fatalf("cells = %d, want %d", len(r.Cells), wantCells)
+	for i := range cfg.Cells {
+		cfg.Cells[i].Requests = 8
+	}
+	r, _ := runJSON(t, cfg)
+	if want := len(chaos.TransparentPlans()) * 3 * 2; len(r.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(r.Cells), want)
 	}
 	for _, c := range r.Cells {
 		if c.Detected {
@@ -113,31 +118,30 @@ func TestCampaignCorpusDetectedAndBaselineLeaks(t *testing.T) {
 	// leak; the diversity baseline (no UID layer) must leak the secret
 	// to the root-forging attack — the contrast that quantifies what
 	// the data variation buys.
-	cfg := chaos.Config{
-		Seed:          5,
-		Requests:      4,
-		TriggerBudget: 16,
-		Ns:            []int{2},
-		Workers:       []int{1},
-		Stacks:        []string{chaos.StackFull, chaos.StackBaseline},
-		Attacks:       attack.Corpus(),
-		Faults:        []chaos.Plan{{Name: "none", Transparent: true}},
-	}
-	r, err := chaos.Run(cfg)
+	cfg, err := campaign.Preset("default", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.ByteSweep = nil
+	cfg.Cells = slices.DeleteFunc(cfg.Cells, func(s campaign.Spec) bool {
+		return s.Topology != campaign.Group || s.K > 0 || s.Attack.Name == "none" ||
+			s.Fault.Name != "none" || s.N != 2 || s.Workers != 1
+	})
+	for i := range cfg.Cells {
+		cfg.Cells[i].Requests = 4
+	}
+	r, _ := runJSON(t, cfg)
 	baselineLeaked := false
 	for _, c := range r.Cells {
 		switch {
 		case c.ExpectDetect && !c.Detected:
 			t.Errorf("%s on %s: not detected", c.Attack, c.Stack)
-		case c.Stack == chaos.StackFull && c.Leaked:
+		case c.Stack == campaign.StackFull && c.Leaked:
 			t.Errorf("%s leaked from a defended group", c.Attack)
 		case c.Attack == "malformed-flood" && c.Detected:
 			t.Errorf("malformed flood raised a false alarm on %s: %s", c.Stack, c.AlarmReason)
 		}
-		if c.Stack == chaos.StackBaseline && c.Attack == "forge-root-uid" {
+		if c.Stack == campaign.StackBaseline && c.Attack == "forge-root-uid" {
 			baselineLeaked = c.Leaked
 		}
 	}
@@ -147,15 +151,7 @@ func TestCampaignCorpusDetectedAndBaselineLeaks(t *testing.T) {
 }
 
 func TestCampaignByteSweepNoCorruption(t *testing.T) {
-	cfg := chaos.Config{
-		Seed:      11,
-		Ns:        []int{2, 4},
-		ByteSweep: true,
-	}
-	r, err := chaos.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := runJSON(t, campaign.Config{Seed: 11, ByteSweep: []int{2, 4}})
 	if len(r.ByteSweeps) != 3 { // paper pair + one per N
 		t.Fatalf("byte-sweep rows = %d, want 3", len(r.ByteSweeps))
 	}
@@ -166,8 +162,8 @@ func TestCampaignByteSweepNoCorruption(t *testing.T) {
 		if b.Corrupted != 0 {
 			t.Errorf("%s n=%d: %d undetected corruptions", b.Name, b.N, b.Corrupted)
 		}
-		if b.Detected == 0 {
-			t.Errorf("%s n=%d: nothing detected", b.Name, b.N)
+		if b.Detected != b.Trials {
+			t.Errorf("%s n=%d: %d/%d detected", b.Name, b.N, b.Detected, b.Trials)
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // data plane (message delay, drop, reorder, truncation), the monitor
 // kernel's syscall boundary (per-lane variant stalls, slow syscalls,
 // crash-and-drain mid-rendezvous), and the fleet (group restart under
-// load) — plus the campaign runner (campaign.go) that sweeps the
-// expanded attack corpus against every fault plan.
+// load). The campaign engine (internal/campaign) drives these plans
+// through every deployment topology.
 //
 // Determinism contract: every fault decision is derived either from a
 // seeded rng consulted in the (serialized) order messages enter the
@@ -17,6 +17,7 @@ package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -231,6 +232,40 @@ func PlanByName(name string) (Plan, error) {
 		}
 	}
 	return Plan{}, fmt.Errorf("chaos: unknown fault plan %q", name)
+}
+
+// QuorumStall is the hard stall of the variant-stall plan: far past
+// the short rendezvous deadline a quorum group runs with, so the
+// stalled variant is evicted rather than waited for.
+const QuorumStall = 500 * time.Millisecond
+
+// QuorumPlans returns the fault plans of quorum cells: the
+// deterministic crash and a deterministic deadline-blowing stall, both
+// striking variant 1 so the same plan works at every N ≥ 2. They are
+// not part of Plans(): outside quorum mode a crash plan is the
+// detected-fault class, and the hard stall would read as a missed
+// deadline, not a transparent fault.
+func QuorumPlans() []Plan {
+	return []Plan{
+		{Name: "variant-crash",
+			Kernel: &KernelPlan{CrashVariant: 1, CrashCall: sys.Recv, CrashAfter: 3}},
+		{Name: "variant-stall",
+			Kernel: &KernelPlan{StallVariant: 1, StallCall: sys.Recv, StallAfter: 3, Stall: QuorumStall}},
+	}
+}
+
+// CellSeed derives the deterministic seed of one campaign cell from
+// the campaign seed and the cell's labels: FNV-1a over the labels with
+// 0x1f separators, mixed with the seed through splitmix64. The result
+// is independent of sweep order, so narrowing a campaign replays the
+// surviving cells exactly.
+func CellSeed(seed int64, parts ...string) int64 {
+	h := fnv.New64a()
+	for _, p := range parts {
+		_, _ = h.Write([]byte(p))
+		_, _ = h.Write([]byte{0x1f})
+	}
+	return int64(mix64(uint64(seed) ^ h.Sum64()))
 }
 
 // TransparentPlans returns the standard plans whose faults the system

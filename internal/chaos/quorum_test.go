@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"nvariant/internal/chaos"
+	"nvariant/internal/campaign"
 )
 
 // TestQuorumCampaignSurvivesAndDetects is the acceptance scenario: from
@@ -15,39 +15,47 @@ import (
 // undegraded. Byte-identical replay is asserted by running twice (CI
 // additionally replays under -race and compares with cmp).
 func TestQuorumCampaignSurvivesAndDetects(t *testing.T) {
-	cfg := chaos.QuorumConfig(1)
-	r1, err := chaos.Run(cfg)
+	cfg, err := campaign.Preset("quorum", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1, j1 := runJSON(t, cfg)
 	if v := r1.Check(); len(v) > 0 {
 		t.Fatalf("quorum campaign contract violated: %v", v)
 	}
-	if len(r1.Quorum) != 4 {
-		t.Fatalf("quorum cells = %d, want 4 (crash/stall x survive/quorum-lost)", len(r1.Quorum))
+	var groups, fleets []campaign.Cell
+	for _, c := range r1.Cells {
+		if c.Topology == campaign.Group {
+			groups = append(groups, c)
+		} else {
+			fleets = append(fleets, c)
+		}
+	}
+	if len(groups) != 4 {
+		t.Fatalf("quorum group cells = %d, want 4 (crash/stall x survive/quorum-lost)", len(groups))
 	}
 	kinds := map[string]bool{}
-	for _, q := range r1.Quorum {
+	for _, q := range groups {
 		if q.ExpectSurvive {
 			if !q.Survived || q.BenignErrs != 0 {
-				t.Errorf("%s/%s: survived=%v errs=%d, want survival at full availability",
-					q.Scenario, q.Fault, q.Survived, q.BenignErrs)
+				t.Errorf("n=%d/%s: survived=%v errs=%d, want survival at full availability",
+					q.N, q.Fault, q.Survived, q.BenignErrs)
 			}
-			if !q.ProbeDetected || q.Leaked {
-				t.Errorf("%s/%s: probe detected=%v leaked=%v", q.Scenario, q.Fault, q.ProbeDetected, q.Leaked)
+			if q.MissedDetection || q.Leaked {
+				t.Errorf("n=%d/%s: probe missed=%v leaked=%v", q.N, q.Fault, q.MissedDetection, q.Leaked)
 			}
 			kinds[q.EvictedKind] = true
 		} else if q.AlarmReason != "quorum-lost" {
-			t.Errorf("%s/%s: alarm = %q, want quorum-lost", q.Scenario, q.Fault, q.AlarmReason)
+			t.Errorf("n=%d/%s: alarm = %q, want quorum-lost", q.N, q.Fault, q.AlarmReason)
 		}
 	}
 	if !kinds["crash"] || !kinds["stall"] {
 		t.Errorf("evicted kinds = %v, want both crash and stall", kinds)
 	}
-	if len(r1.QuorumFleet) != 2 {
-		t.Fatalf("quorum fleet cells = %d, want 2", len(r1.QuorumFleet))
+	if len(fleets) != 2 {
+		t.Fatalf("quorum fleet cells = %d, want 2", len(fleets))
 	}
-	for _, q := range r1.QuorumFleet {
+	for _, q := range fleets {
 		if q.BenignErrs != 0 || q.Evictions != 1 || q.Respawned != 1 || q.DegradedEnd != 0 {
 			t.Errorf("fleet %s: %+v, want full availability with 1 eviction + 1 respawn settled", q.Fault, q)
 		}
@@ -65,18 +73,7 @@ func TestQuorumCampaignSurvivesAndDetects(t *testing.T) {
 		t.Errorf("detections = %d/%d, want 2/2", s.Detections, s.ExpectedDetections)
 	}
 
-	r2, err := chaos.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := r2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, j2 := runJSON(t, cfg)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("same seed produced different quorum matrices: %s", firstDiff(j1, j2))
 	}

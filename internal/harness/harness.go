@@ -284,20 +284,29 @@ func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ..
 		h.res, h.err = nvkernel.Run(world, net, progs, kopts...)
 	}()
 
-	// Wait for the listener so callers can dial immediately.
+	// Wait for the listener so callers can dial immediately, then for
+	// the group to finish the readiness connection: a lane reads its
+	// end of stream and closes it. Returning before that would let the
+	// read land after the caller's first requests when W > 1, and a
+	// fault trigger counting syscalls would then strike a different
+	// request from run to run.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		conn, err := net.Dial(h.Port)
 		if err == nil {
 			_ = conn.Close()
-			return h, nil
+			select {
+			case <-conn.PeerClosed():
+				return h, nil
+			case <-h.done:
+				return nil, h.startupErr()
+			case <-time.After(time.Until(deadline)):
+				return nil, fmt.Errorf("server did not finish the readiness connection")
+			}
 		}
 		select {
 		case <-h.done:
-			if h.err != nil {
-				return nil, fmt.Errorf("server exited during startup: %w", h.err)
-			}
-			return nil, fmt.Errorf("server exited during startup: %+v", h.res.Alarm)
+			return nil, h.startupErr()
 		default:
 		}
 		if time.Now().After(deadline) {
@@ -305,6 +314,14 @@ func StartSpecOn(world *vos.World, net *simnet.Network, spec GroupSpec, extra ..
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
+}
+
+// startupErr describes a group that exited before it was ready.
+func (h *Handle) startupErr() error {
+	if h.err != nil {
+		return fmt.Errorf("server exited during startup: %w", h.err)
+	}
+	return fmt.Errorf("server exited during startup: %+v", h.res.Alarm)
 }
 
 // Client returns an HTTP client for the server.

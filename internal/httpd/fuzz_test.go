@@ -11,7 +11,7 @@ import (
 // panic, and every accepted parse must satisfy the invariants the
 // server's request loop relies on. Seed corpora live under
 // testdata/fuzz; CI runs each target briefly (-fuzztime) in the
-// chaos-smoke job.
+// campaign-smoke job.
 
 func FuzzParseRequestLine(f *testing.F) {
 	for _, seed := range [][]byte{

@@ -1,56 +1,91 @@
-package mesh
+package mesh_test
+
+// The mesh driven through the campaign engine: the mesh preset's
+// rotation (fault=none) and fault-plan slices replay byte for byte,
+// narrow cell by cell, and leave the mesh metric families behind.
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
+	"nvariant/internal/campaign"
+	"nvariant/internal/chaos"
 	"nvariant/internal/obs"
 )
 
-// testCampaignConfig is the sweep the determinism tests replay: the
-// full P ∈ {1,2,4} × rotation × attack matrix at reduced per-cell
-// volume so the double-run finishes quickly even under -race.
-func testCampaignConfig(seed int64) CampaignConfig {
-	return CampaignConfig{
-		Seed:        seed,
-		Requests:    12,
-		Pools:       []int{1, 2, 4},
-		Groups:      2,
-		RotateEvery: 4,
-		Probes:      1,
+// meshConfig narrows the mesh preset to the given pool counts and fault
+// plans at reduced per-cell volume, so double runs finish quickly even
+// under -race.
+func meshConfig(t *testing.T, seed int64, requests int, pools []int, faults ...string) campaign.Config {
+	t.Helper()
+	cfg, err := campaign.Preset("mesh", seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.Cells = slices.DeleteFunc(cfg.Cells, func(s campaign.Spec) bool {
+		return !slices.Contains(pools, s.Pools) || !slices.Contains(faults, s.Fault.Name)
+	})
+	for i := range cfg.Cells {
+		cfg.Cells[i].Requests = requests
+	}
+	return cfg
 }
 
-// TestCampaignByteIdentical: the same seed reproduces the rotation
-// matrix byte for byte — every exposure-window vtick, availability
-// ratio, and rotation count is a function of the seed alone. The CI
-// mesh-smoke job replays this cross-process (and against -race) via
-// cmd/meshbench; this test pins it in-tree.
-func TestCampaignByteIdentical(t *testing.T) {
-	cfg := testCampaignConfig(42)
-	r1, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := r2.JSON()
+// runTwice runs a campaign twice and requires byte-identical matrices
+// and a clean contract.
+func runTwice(t *testing.T, cfg campaign.Config) *campaign.Result {
+	t.Helper()
+	r1, b1 := runJSON(t, cfg)
+	_, b2 := runJSON(t, cfg)
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("same-seed campaign not byte-identical:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", b1, b2)
 	}
 	if v := r1.Check(); len(v) != 0 {
 		t.Fatalf("campaign contract violations: %v\n%s", v, b1)
 	}
+	return r1
+}
 
-	// The matrix's own shape: rotation-on cells rotated and sampled
-	// exposure windows; rotation-off benign cells must have none
-	// (their exposure is unbounded — the point of rotation).
+func runJSON(t *testing.T, cfg campaign.Config) (*campaign.Result, []byte) {
+	t.Helper()
+	r, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, b
+}
+
+// requireFamilies checks that an instrumented campaign left the metric
+// families on its registry.
+func requireFamilies(t *testing.T, reg *obs.Registry, families ...string) {
+	t.Helper()
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range families {
+		if !bytes.Contains(text.Bytes(), []byte(family)) {
+			t.Errorf("registry missing %s after instrumented campaign", family)
+		}
+	}
+}
+
+// TestCampaignByteIdentical: the same seed reproduces the rotation
+// matrix (the fault=none slice, P ∈ {1,2,4} × rotation × attack) byte
+// for byte — every exposure-window vtick, availability ratio, and
+// rotation count is a function of the seed alone.
+func TestCampaignByteIdentical(t *testing.T) {
+	r1 := runTwice(t, meshConfig(t, 42, 12, []int{1, 2, 4}, "none"))
+
+	// Rotation-on cells rotated and sampled exposure windows;
+	// rotation-off benign cells must have none (their exposure is
+	// unbounded — the point of rotation).
 	for _, c := range r1.Cells {
 		switch {
 		case c.Rotation && c.ExposureSamples == 0:
@@ -68,46 +103,86 @@ func TestCampaignByteIdentical(t *testing.T) {
 }
 
 // TestCampaignInstrumentationPreservesJSON: attaching an obs registry
-// must not perturb the matrix — metrics record wall-clock data outside
-// the deterministic output.
+// must not perturb the rotation matrix — metrics record wall-clock data
+// outside the deterministic output.
 func TestCampaignInstrumentationPreservesJSON(t *testing.T) {
-	cfg := CampaignConfig{Seed: 17, Requests: 8, Pools: []int{2}, Groups: 2, RotateEvery: 4, Probes: 1}
-	plain, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := meshConfig(t, 17, 8, []int{2}, "none")
+	_, plain := runJSON(t, cfg)
 	cfg.Obs = obs.NewRegistry()
-	instr, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, instr := runJSON(t, cfg)
+	if !bytes.Equal(plain, instr) {
+		t.Fatalf("instrumentation changed the matrix:\n--- plain ---\n%s\n--- instrumented ---\n%s", plain, instr)
 	}
-	pb, _ := plain.JSON()
-	ib, _ := instr.JSON()
-	if !bytes.Equal(pb, ib) {
-		t.Fatalf("instrumentation changed the matrix:\n--- plain ---\n%s\n--- instrumented ---\n%s", pb, ib)
-	}
-	// And the registry actually saw the campaign.
-	var text bytes.Buffer
-	if err := cfg.Obs.WritePrometheus(&text); err != nil {
-		t.Fatal(err)
-	}
-	for _, family := range []string{"mesh_dispatched_total", "mesh_rotations_total", "mesh_exposure_window_seconds", "mesh_pool_healthy_groups"} {
-		if !bytes.Contains(text.Bytes(), []byte(family)) {
-			t.Errorf("registry missing %s after instrumented campaign", family)
+	requireFamilies(t, cfg.Obs, "mesh_dispatched_total", "mesh_rotations_total", "mesh_exposure_window_seconds", "mesh_pool_healthy_groups")
+}
+
+// TestChaosCampaignByteIdentical: the same seed reproduces the fault
+// slices byte for byte — every retry, re-route, backoff tick, restart,
+// and exposure sample is a function of the seed alone.
+func TestChaosCampaignByteIdentical(t *testing.T) {
+	r1 := runTwice(t, meshConfig(t, 42, 12, []int{1, 2}, "none", "net-mixed", "group-restart"))
+	// The lossy plan must have exercised the retry machinery somewhere
+	// in the matrix — a sweep where net-mixed needed zero retries is
+	// not stressing anything.
+	var lossyRetries uint64
+	for _, c := range r1.Cells {
+		if c.Fault == "net-mixed" {
+			lossyRetries += c.Retries
 		}
+	}
+	if lossyRetries == 0 {
+		t.Error("net-mixed cells needed no retries — the sweep is not exercising recovery")
 	}
 }
 
-// TestCampaignCheckFlagsViolations: Check is the CI gate — make sure
-// it actually fires on a bad matrix.
-func TestCampaignCheckFlagsViolations(t *testing.T) {
-	r := &CampaignResult{Cells: []CampaignCell{
-		{Pools: 2, Rotation: true, Attack: "none", Availability: 0.5, Rotations: 0},
-		{Pools: 2, Rotation: false, Attack: "forge-uid", Availability: 1,
-			Probes: 2, Detections: 1, MissedDetection: true, Leaked: true},
-	}}
-	v := r.Check()
-	if len(v) != 4 {
-		t.Fatalf("Check found %d violations, want 4 (availability, no-rotation, missed, leak): %v", len(v), v)
+// TestChaosCampaignNarrowedCellParity: narrowing the sweep (the
+// campaign CLI's filters) replays single cells bit-for-bit, because
+// cell seeds derive from cell labels rather than sweep position.
+func TestChaosCampaignNarrowedCellParity(t *testing.T) {
+	full := meshConfig(t, 7, 12, []int{1, 2}, "none", "net-mixed", "group-restart")
+	isCell := func(s campaign.Spec) bool {
+		return s.Pools == 2 && s.Rotation && s.Fault.Name == "net-mixed" && s.Attack.Name == "forge-uid"
+	}
+	narrowed := full
+	narrowed.Cells = slices.DeleteFunc(slices.Clone(full.Cells), func(s campaign.Spec) bool { return !isCell(s) })
+	if len(narrowed.Cells) != 1 {
+		t.Fatalf("narrowed run has %d cells, want 1", len(narrowed.Cells))
+	}
+	rFull, _ := runJSON(t, full)
+	rSub, _ := runJSON(t, narrowed)
+	want := rFull.Cells[slices.IndexFunc(full.Cells, isCell)]
+	if !reflect.DeepEqual(rSub.Cells[0], want) {
+		t.Errorf("narrowed cell diverged from the full matrix:\nfull:     %+v\nnarrowed: %+v", want, rSub.Cells[0])
+	}
+}
+
+// TestChaosCampaignInstrumentationPreservesJSON: attaching an obs
+// registry must not perturb the fault slices, and the registry must
+// carry the retry/health metric families afterwards.
+func TestChaosCampaignInstrumentationPreservesJSON(t *testing.T) {
+	cfg := meshConfig(t, 17, 8, []int{2}, "none", "net-mixed", "group-restart")
+	_, plain := runJSON(t, cfg)
+	cfg.Obs = obs.NewRegistry()
+	_, instr := runJSON(t, cfg)
+	if !bytes.Equal(plain, instr) {
+		t.Fatalf("instrumentation changed the matrix:\n--- plain ---\n%s\n--- instrumented ---\n%s", plain, instr)
+	}
+	requireFamilies(t, cfg.Obs, "mesh_retries_total", "mesh_reroutes_total", "mesh_retry_backoff_ticks", "mesh_pool_health")
+}
+
+// TestChaosCampaignRejectsCrashPlans: kernel crash plans cannot replay
+// across a pool without a quorum, so the engine refuses a mesh cell
+// carrying one instead of emitting a nondeterministic matrix.
+func TestChaosCampaignRejectsCrashPlans(t *testing.T) {
+	cfg := meshConfig(t, 1, 12, []int{1}, "none")
+	crash, err := chaos.PlanByName("variant-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cfg.Cells[0]
+	bad.Fault = crash
+	cfg.Cells = append(cfg.Cells, bad)
+	if _, err := campaign.Run(cfg); err == nil {
+		t.Fatal("campaign accepted a kernel crash plan on a mesh cell")
 	}
 }

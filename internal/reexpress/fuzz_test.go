@@ -13,7 +13,7 @@ import (
 // diverges between every pair of variants), and the generated spec
 // holds the §2.2 inverse and §2.3 N-wide disjointness properties over
 // boundary values plus a seed-derived random sample. Seed corpus under
-// testdata/fuzz; CI runs this briefly in the chaos-smoke job.
+// testdata/fuzz; CI runs this briefly in the campaign-smoke job.
 func FuzzGenerate(f *testing.F) {
 	f.Add(int64(1), byte(0))
 	f.Add(int64(42), byte(3))
