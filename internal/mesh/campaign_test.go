@@ -2,7 +2,8 @@ package mesh_test
 
 // The mesh driven through the campaign engine: the mesh preset's
 // rotation (fault=none) and fault-plan slices replay byte for byte,
-// narrow cell by cell, and leave the mesh metric families behind.
+// narrow cell by cell, and leave the mesh metric families behind; Check
+// flags bad mesh matrices.
 
 import (
 	"bytes"
@@ -114,6 +115,54 @@ func TestCampaignInstrumentationPreservesJSON(t *testing.T) {
 		t.Fatalf("instrumentation changed the matrix:\n--- plain ---\n%s\n--- instrumented ---\n%s", plain, instr)
 	}
 	requireFamilies(t, cfg.Obs, "mesh_dispatched_total", "mesh_rotations_total", "mesh_exposure_window_seconds", "mesh_pool_healthy_groups")
+}
+
+// meshCells stamps the mesh topology and the defended stack on
+// synthetic cells, so Check applies its mesh gates to them.
+func meshCells(cells ...campaign.Cell) *campaign.Result {
+	for i := range cells {
+		cells[i].Topology, cells[i].Stack, cells[i].N, cells[i].Workers = campaign.Mesh, campaign.StackFull, 2, 1
+	}
+	return &campaign.Result{Cells: cells}
+}
+
+// TestCampaignCheckFlagsViolations: Check is the CI gate — make sure
+// it actually fires on a bad rotation matrix.
+func TestCampaignCheckFlagsViolations(t *testing.T) {
+	r := meshCells(
+		campaign.Cell{Pools: 2, Rotation: true, Fault: "none", Attack: "none", Availability: 0.5, Rotations: 0},
+		campaign.Cell{Pools: 2, Rotation: false, Fault: "none", Attack: "forge-uid", Availability: 1,
+			Probes: 2, Detections: 1, MissedDetection: true, Leaked: true},
+	)
+	v := r.Check()
+	if len(v) != 4 {
+		t.Fatalf("Check found %d violations, want 4 (availability, no-rotation, missed, leak): %v", len(v), v)
+	}
+}
+
+// TestChaosCampaignCheckFlagsViolations: Check is the CI gate — make
+// sure each mesh contract clause actually fires on a bad fault matrix.
+func TestChaosCampaignCheckFlagsViolations(t *testing.T) {
+	r := meshCells(
+		// availability floor + retries in the no-fault control
+		campaign.Cell{Pools: 1, Fault: "none", Attack: "none", Availability: 0.5, Retries: 3, BackoffTicks: 6},
+		// backoff/reroutes without retries
+		campaign.Cell{Pools: 1, Fault: "net-mixed", Attack: "none", Availability: 1, BackoffTicks: 4},
+		// under-charged backoff
+		campaign.Cell{Pools: 1, Fault: "net-mixed", Attack: "none", Availability: 1, Retries: 4, BackoffTicks: 2},
+		// reroutes exceeding retries
+		campaign.Cell{Pools: 2, Fault: "net-mixed", Attack: "none", Availability: 1, Retries: 1, BackoffTicks: 2, Reroutes: 3},
+		// rotation counted while disabled + restart plan without restarts
+		campaign.Cell{Pools: 1, Rotation: false, Fault: "group-restart", Attack: "none", Availability: 1, Rotations: 2},
+		// rotation enabled but never ran, missed detection, false alarm, leak
+		campaign.Cell{Pools: 1, Rotation: true, Fault: "none", Attack: "forge-uid", Availability: 1,
+			Probes: 2, Detections: 1, MissedDetection: true, FalseAlarm: true, Leaked: true},
+	)
+	v := r.Check()
+	want := 11
+	if len(v) != want {
+		t.Fatalf("Check found %d violations, want %d:\n%v", len(v), want, v)
+	}
 }
 
 // TestChaosCampaignByteIdentical: the same seed reproduces the fault
