@@ -434,7 +434,8 @@ func runGroup(cfg Config, s Spec, seed int64) (Cell, error) {
 		cell.Leaked = driveAttack(client, s.Attack, rand.New(rand.NewSource(seed+4)), s.Workers)
 	case s.Attack.Name == ForgeUID().Name:
 		var detected bool
-		detected, cell.Leaked = strike(client, attack.ForgeUIDPayload(vos.Root))
+		// A lone group's port is never reused: a refusal is the kill.
+		detected, cell.Leaked = strike(client, attack.ForgeUIDPayload(vos.Root), func() bool { return false })
 		cell.MissedDetection = !detected
 	}
 
@@ -579,8 +580,11 @@ func runPooled(cfg Config, s Spec, seed int64) (Cell, error) {
 			if !ok {
 				break
 			}
-			before := f.Stats().Replaced
-			detected, leaked := strike(httpd.NewClient(f.Net(), port), payload)
+			st := f.Stats()
+			before, dets := st.Replaced, st.Detections
+			detected, leaked := strike(httpd.NewClient(f.Net(), port), payload, func() bool {
+				return f.Stats().Detections > dets
+			})
 			cell.Leaked = cell.Leaked || leaked
 			if !detected {
 				break
@@ -729,14 +733,23 @@ func driveAttack(client *httpd.Client, sc attack.Scenario, rng *rand.Rand, w int
 }
 
 // strike sends a forged-UID overwrite straight to one group and probes
-// for its first use, redelivering until the victim's port refuses —
-// the monitor killed it — or the rounds are spent.
-func strike(c *httpd.Client, payload []byte) (detected, leaked bool) {
+// for its first use, redelivering until the monitor killed the victim
+// — its port refuses, or killed reports the pool counted the alarm —
+// or the rounds are spent. The pool hands a dead group's port to its
+// replacement, so a strike that only waited for a refusal could
+// outrun it and forge the replacement too.
+func strike(c *httpd.Client, payload []byte, killed func() bool) (detected, leaked bool) {
 	for round := 0; round < 8; round++ {
+		if killed() {
+			return true, leaked
+		}
 		if _, err := c.Raw(payload); errors.Is(err, simnet.ErrRefused) {
 			return true, leaked // a prior round's trigger already killed it
 		}
 		for t := 0; t < 64; t++ {
+			if killed() {
+				return true, leaked
+			}
 			code, body, err := c.Get("/private/secret.html")
 			switch {
 			case errors.Is(err, simnet.ErrRefused):

@@ -71,8 +71,8 @@ func (s *system) slotFiles(idx, n int) []*vos.OpenFile {
 }
 
 // execute performs the (already equivalence-checked) syscall. canon is
-// the canonical argument vector. It returns true when the lane's
-// monitor loop should stop (exit, alarm, or group kill).
+// the canonical argument vector. It returns true when the lane
+// retires (exit, alarm, or group kill).
 func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*callMsg, seq int) bool {
 	s := l.sys
 	switch num {
@@ -161,7 +161,7 @@ func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*ca
 				}, msgs[i:])
 				return true
 			}
-			m.reply <- sys.Reply{Val: rep}
+			m.answer(sys.Reply{Val: rep})
 		}
 		return false
 
@@ -281,7 +281,7 @@ func (l *lane) execute(spec sys.Spec, num sys.Num, canon []word.Word, msgs []*ca
 			if m == nil {
 				continue
 			}
-			m.reply <- sys.Reply{Val: m.call.Args[0]}
+			m.answer(sys.Reply{Val: m.call.Args[0]})
 		}
 		return false
 
@@ -482,7 +482,7 @@ func (l *lane) execRead(canon []word.Word, msgs []*callMsg, seq int, spec sys.Sp
 			}, msgs[i:])
 			return true
 		}
-		m.reply <- sys.Reply{Val: word.Word(cnt)}
+		m.answer(sys.Reply{Val: word.Word(cnt)})
 	}
 	s.mu.Unlock()
 	return false
@@ -512,7 +512,8 @@ func (l *lane) cmpScratch(n uint32) []byte {
 // (this is how the Apache UID-in-log-message pitfall of §4 manifests).
 // The returned slice is pooled lane scratch, borrowed until the next
 // rendezvous — every consumer (stdout capture, file write, network
-// send) copies before the lane loops again. Lane-local: no lock.
+// send) copies before the lane's next round. Round-owner private: no
+// lock.
 func (l *lane) gatherPayloads(canon []word.Word, msgs []*callMsg, seq int, spec sys.Spec) ([]byte, bool) {
 	n := uint32(canon[2])
 	ref := l.ref
@@ -631,7 +632,7 @@ func (l *lane) execWrite(canon []word.Word, msgs []*callMsg, seq int, spec sys.S
 			s.mu.Unlock()
 			return l.replyFail(msgs[i:], err)
 		}
-		m.reply <- sys.Reply{Val: word.Word(cnt)}
+		m.answer(sys.Reply{Val: word.Word(cnt)})
 	}
 	s.mu.Unlock()
 	return false

@@ -15,10 +15,13 @@
 // variants as goroutines over simulated address spaces (see DESIGN.md,
 // substitutions table). A group may hold W ≥ 1 worker lanes (the
 // prefork workers): each lane is an independent N-variant rendezvous
-// with its own monitor goroutine and per-lane scratch, while the
-// descriptor table, credentials, virtual time, captured output and the
-// alarm are group-wide — and an alarm in any lane kills the entire
-// group, preserving the paper's detection contract.
+// with its own per-lane scratch, while the descriptor table,
+// credentials, virtual time, captured output and the alarm are
+// group-wide — and an alarm in any lane kills the entire group,
+// preserving the paper's detection contract. There is no monitor
+// goroutine: the variant whose arrival completes a lane's round checks
+// and executes it on its own goroutine (round.go), and one group-wide
+// watchdog timer detects stalled rounds.
 package nvkernel
 
 import (
@@ -77,30 +80,50 @@ func (r *Result) Detected() bool { return r.Alarm != nil }
 // finished on a K-of-N quorum.
 func (r *Result) Degraded() bool { return len(r.Evictions) > 0 }
 
-// callMsg is one variant's arrival at a syscall rendezvous.
+// callMsg is one variant's arrival at a syscall rendezvous. Each
+// variant owns one, reused for every syscall with its long-lived
+// buffered reply channel: a variant has at most one call in flight and
+// every arrival is answered exactly once, so nothing is allocated per
+// rendezvous.
 type callMsg struct {
 	call  sys.Call
 	reply chan sys.Reply
+	// self marks the round owner's own arrival while it runs the
+	// round: answer keeps its reply in out, which the owner returns
+	// directly instead of sending it to itself.
+	self bool
+	out  sys.Reply
+	// own is set on a parked arrival before it is woken to execute a
+	// round that a goroutine with no call in it claimed and settled (a
+	// departing variant, the watchdog, an eviction); the value received
+	// with that wake-up is not a reply.
+	own bool
 }
 
-// variantRT is the runtime state of one variant of one lane. Each
-// variant owns one preallocated mailbox (msg plus its long-lived
-// buffered reply channel), reused for every syscall: a variant has at
-// most one call in flight, and its lane monitor sends exactly one reply
-// per received message, so nothing is ever allocated per rendezvous.
+// answer delivers the round's reply to one arrival.
+func (m *callMsg) answer(r sys.Reply) {
+	if m.self {
+		m.out = r
+		return
+	}
+	m.reply <- r
+}
+
+// variantRT is the runtime state of one variant of one lane.
 type variantRT struct {
-	id    int
-	calls chan *callMsg
-	done  chan struct{}
-	// gone is closed when the variant is evicted group-wide (quorum
-	// degraded mode): the lane monitor stops reading calls, and the
-	// variant's invoker answers Killed instead of parking on a
-	// rendezvous nobody gathers. Nil when the group runs without a
-	// quorum — the hot path then carries no extra select case.
-	gone chan struct{}
-	err  error
-	mem  *vmem.Space
-	msg  callMsg
+	id  int
+	bit uint64 // 1 << id, the variant's bit in the lane masks
+	err error
+	mem *vmem.Space
+	msg callMsg
+}
+
+// exitDetail describes a variant that returned instead of arriving.
+func (v *variantRT) exitDetail() string {
+	if v.err != nil {
+		return v.err.Error()
+	}
+	return "variant terminated unexpectedly"
 }
 
 // Run executes progs (one per variant) as an N-variant process group
@@ -113,9 +136,19 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 	if n == 0 {
 		return nil, errors.New("nvkernel: no variants")
 	}
+	if n > 64 {
+		// A lane tracks its arrivals and the live set in uint64 masks;
+		// wider groups would need a different representation, and
+		// nothing near that width exists.
+		return nil, fmt.Errorf("nvkernel: at most 64 variants, got %d", n)
+	}
 	cfg := defaultConfig(n)
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.Timeout <= 0 {
+		// The stall watchdog fires every Timeout.
+		return nil, fmt.Errorf("nvkernel: rendezvous timeout must be positive, got %v", cfg.Timeout)
 	}
 	if len(cfg.UIDFuncs) != n {
 		return nil, fmt.Errorf("nvkernel: %d UID funcs for %d variants", len(cfg.UIDFuncs), n)
@@ -134,12 +167,6 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 			// ignoring it.
 			return nil, fmt.Errorf("nvkernel: instruction-tag layers deploy on the isa substrate (isa.RunSpec), not under the monitor kernel")
 		}
-	}
-
-	if cfg.Quorum > 0 && n > 64 {
-		// The live set is a single uint64 mask; wider groups would need
-		// a different representation, and nothing near that width exists.
-		return nil, fmt.Errorf("nvkernel: quorum mode supports at most 64 variants, got %d", n)
 	}
 
 	// Address canonicalization width: the two-variant construction
@@ -173,88 +200,41 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 		progs:    progs,
 		parts:    parts,
 		addrBits: addrBits,
-		// stop is closed when the post-run drain retires: any variant
-		// that reaches a syscall after that (e.g. a spinner that
-		// outlived the grace period) is answered Killed right here
-		// instead of parking forever on a rendezvous channel nobody
-		// reads anymore.
-		stop: make(chan struct{}),
 		// killed is closed on the first alarm: the group-wide kill
-		// fan-out that makes every sibling lane's monitor retire.
+		// fan-out (kill) retires every lane.
 		killed: make(chan struct{}),
+		exited: make(chan struct{}),
 	}
 
 	primary := s.newLane(0)
 	s.lanes = []*lane{primary}
-	for i := 0; i < n; i++ {
-		v := primary.variants[i]
-		prog := progs[i]
-		ctx := sys.NewContext(i, n, v.mem, s.invokerFor(primary, v))
-		go func() {
-			defer close(v.done)
-			err := prog.Run(ctx)
-			if err == nil && !ctx.Exited() {
-				err = ctx.Exit(0)
-			}
-			if err != nil && !errors.Is(err, sys.ErrKilled) {
-				v.err = err
-			}
-		}()
+	s.running.Add(1)
+	s.alive.Store(int32(n))
+	s.mu.Lock()
+	s.watchdog = time.AfterFunc(cfg.Timeout, s.watch)
+	s.mu.Unlock()
+	for i, v := range primary.variants {
+		s.start(primary, v, progs[i].Run)
 	}
+	s.running.Wait()
 
-	s.monitors.Add(1)
-	go func() {
-		defer s.monitors.Done()
-		primary.monitor()
-	}()
-	s.monitors.Wait()
-
-	// All lane monitors have retired, so the lane roster is final.
-	// Drain: answer any straggler syscalls with Killed until every
-	// variant goroutine has returned. A variant that spins without
-	// syscalls cannot be preempted (goroutines are not killable the
-	// way the paper's kernel SIGKILLs a process), so the wait is
-	// bounded by a grace period; stragglers are reported as such. The
-	// stop channel makes the drain goroutines and the all-done waiter
-	// exit when the grace period fires; a straggler that reaches a
-	// syscall after that is answered Killed by its own invoke (above),
-	// so only a variant that never syscalls again can outlive Run.
-	for _, l := range s.lanes {
-		for _, v := range l.variants {
-			go func(v *variantRT) {
-				for {
-					select {
-					case m := <-v.calls:
-						m.reply <- sys.Reply{Killed: true}
-					case <-v.done:
-						return
-					case <-s.stop:
-						return
-					}
-				}
-			}(v)
-		}
-	}
-	allDone := make(chan struct{})
-	go func() {
-		defer close(allDone)
-		for _, l := range s.lanes {
-			for _, v := range l.variants {
-				select {
-				case <-v.done:
-				case <-s.stop:
-					return
-				}
-			}
-		}
-	}()
+	// Every lane has retired, so the lane roster is final and no round
+	// runs anymore: a variant still running is answered Killed at its
+	// next syscall. A variant that spins without syscalls cannot be
+	// preempted (goroutines are not killable the way the paper's kernel
+	// SIGKILLs a process), so the wait for the variants to return is
+	// bounded by a grace period; stragglers are reported as such, and
+	// only a variant that never syscalls again can outlive Run.
+	s.mu.Lock()
+	s.over = true
+	s.mu.Unlock()
+	s.watchdog.Stop()
 	grace := time.NewTimer(cfg.Timeout)
 	select {
-	case <-allDone:
+	case <-s.exited:
 		grace.Stop()
 	case <-grace.C:
 	}
-	close(s.stop)
 
 	res := &Result{
 		Clean:       s.alarm == nil && s.exitedLanes == len(s.lanes),
@@ -271,11 +251,13 @@ func Run(world *vos.World, net *simnet.Network, progs []sys.Program, opts ...Opt
 	s.mu.Unlock()
 	for _, l := range s.lanes {
 		res.Rendezvous += l.rendezvous
+		l.mu.Lock()
+		down := l.down
+		l.mu.Unlock()
 		for _, v := range l.variants {
-			select {
-			case <-v.done:
+			if down&v.bit != 0 {
 				res.VariantErrs = append(res.VariantErrs, v.err)
-			default:
+			} else {
 				res.VariantErrs = append(res.VariantErrs, errStillRunning)
 			}
 		}
@@ -290,20 +272,26 @@ var errStillRunning = errors.New("nvkernel: variant still running at shutdown")
 // system is the group-wide kernel state shared by every worker lane.
 // Ownership map (the "Concurrency model" section of DESIGN.md):
 //
-//   - Per lane, monitor-goroutine private: the variant mailboxes and
-//     the rendezvous scratch (msgs/canon/ioBuf/cmpBuf) — never locked,
-//     which is what keeps the steady-state loop allocation- and
-//     contention-free.
+//   - Per lane, under the lane's mu: the gathering round (arrival
+//     slots and masks) and the lane's busy/retired state.
+//   - Per lane, round-owner private: the claimed round's arrivals, the
+//     rendezvous scratch (canon/ioBuf/cmpBuf/pin), the credentials and
+//     the live-set view. Only the goroutine holding the lane's claim
+//     touches them; the claim passes between goroutines through the
+//     lane's mu or the wake-up of the arrival it is handed to — never
+//     locked while a round runs, which keeps the steady state
+//     allocation- and contention-free.
 //   - Group-wide under mu: the descriptor table (with the filesystem
-//     it reaches — vos.FS is single-threaded by contract), credentials,
-//     captured stdout/stderr, the alarm slot and exit bookkeeping. mu
-//     is never held across a blocking operation: lanes look an entry
-//     up under mu, then block on the simnet object (itself
+//     it reaches — vos.FS is single-threaded by contract), captured
+//     stdout/stderr, the alarm slot, exit bookkeeping and the lane
+//     roster. mu is never held across a blocking operation: lanes look
+//     an entry up under mu, then block on the simnet object (itself
 //     thread-safe) with mu released, so Accept is the only place
 //     concurrent lanes serialize for more than a table probe — exactly
-//     prefork Apache's accept contention.
-//   - Group-wide lock-free: virtual time and the scoreboard counter
-//     (atomics), the killed channel (close-once).
+//     prefork Apache's accept contention. Where both are held, mu is
+//     taken before a lane's mu.
+//   - Group-wide lock-free: virtual time, the scoreboard counter and
+//     the eviction mask (atomics), the killed channel (close-once).
 type system struct {
 	world    *vos.World
 	net      *simnet.Network
@@ -331,346 +319,181 @@ type system struct {
 	score atomic.Int64
 
 	// evicted is the group-wide live-set mask: bit i set means variant
-	// i has been evicted by the quorum machinery. Lanes copy it into
-	// their private dead mask at the top of each gather round (one
-	// atomic load; no lock), so the steady-state loop allocates nothing
-	// and rebuilds no slices. Writes happen under mu in tryEvict;
-	// evictions (under mu) is the ordered record Result reports.
+	// i has been evicted by the quorum machinery. Arrivals read it
+	// under their lane's mu, and a round owner copies it into its
+	// private view when it claims the round (one atomic load; no lock),
+	// so the steady-state round allocates nothing and rebuilds no
+	// slices. Writes happen under mu in tryEvict; evictions (under mu)
+	// is the ordered record Result reports.
 	evicted   atomic.Uint64
 	evictions []Eviction
 
 	killed   chan struct{}
 	killOnce sync.Once
-	stop     chan struct{}
-	monitors sync.WaitGroup
+
+	// running counts the lanes that have not retired; Run waits for
+	// it. alive counts the variant goroutines still running, and the
+	// last one to return closes exited.
+	running sync.WaitGroup
+	alive   atomic.Int32
+	exited  chan struct{}
+
+	// watchdog is the group's stall detector (watch), re-armed from
+	// its own callback; over (under mu) stops the re-arming once Run
+	// collects the result.
+	watchdog *time.Timer
+	over     bool
+}
+
+// start runs variant v of lane l on its own goroutine. The goroutine
+// is the variant: it executes the program, arrives at each rendezvous
+// through its invoker (running the rounds its arrival completes), and
+// departs the lane when the program returns.
+func (s *system) start(l *lane, v *variantRT, body func(*sys.Context) error) {
+	ctx := sys.NewContext(v.id, s.n, v.mem, s.invokerFor(l, v))
+	ctx.Worker = l.id
+	go func() {
+		err := body(ctx)
+		if err == nil && !ctx.Exited() {
+			err = ctx.Exit(0)
+		}
+		if err != nil && !errors.Is(err, sys.ErrKilled) {
+			v.err = err
+		}
+		l.depart(v)
+	}()
 }
 
 // invokerFor builds the syscall invoker of one variant of one lane.
-// Quorum groups get an invoker with one extra select case (the
-// variant's eviction channel); unanimous groups keep the two-case
-// select byte-for-byte, so enabling the feature elsewhere costs the
-// paper-contract hot path nothing.
 func (s *system) invokerFor(l *lane, v *variantRT) sys.Invoker {
 	hook := s.cfg.Faults
-	if v.gone != nil {
-		gone := v.gone
-		return func(call sys.Call) sys.Reply {
-			if hook != nil {
-				if stall, crash := hook.PreSyscall(l.id, v.id, call.Num); crash {
-					return sys.Reply{Crashed: true}
-				} else if stall > 0 {
-					time.Sleep(stall)
-				}
-			}
-			v.msg.call = call
-			select {
-			case v.calls <- &v.msg:
-				return <-v.msg.reply
-			case <-gone:
-				// Evicted: no monitor gathers this variant anymore. Killed
-				// unwinds the goroutine exactly like a group teardown.
-				return sys.Reply{Killed: true}
-			case <-s.stop:
-				return sys.Reply{Killed: true}
-			}
-		}
-	}
 	return func(call sys.Call) sys.Reply {
 		if hook != nil {
 			if stall, crash := hook.PreSyscall(l.id, v.id, call.Num); crash {
 				// The variant dies before reaching the rendezvous: its
-				// goroutine unwinds via ErrCrashed and the lane monitor
-				// observes the death as a variant fault.
+				// goroutine unwinds via ErrCrashed and departs, which
+				// the lane settles as a variant fault.
 				return sys.Reply{Crashed: true}
 			} else if stall > 0 {
 				time.Sleep(stall)
 			}
 		}
 		v.msg.call = call
-		select {
-		case v.calls <- &v.msg:
-			return <-v.msg.reply
-		case <-s.stop:
-			return sys.Reply{Killed: true}
-		}
+		return l.arrive(v)
 	}
-}
-
-// lane is one worker lane: an independent N-variant rendezvous with
-// its own monitor goroutine and scratch, sharing the system state.
-type lane struct {
-	sys *system
-	id  int
-
-	// cred is the lane's credential set — per lane, exactly as fork
-	// gives each prefork worker its own copy of the parent's
-	// credentials. Worker lanes snapshot the primary lane's cred at
-	// prefork time. Monitor-goroutine private: a lane changing its
-	// identity (httpd's per-request seteuid dance) must never race a
-	// sibling lane's permission checks — with one group-wide cred, a
-	// lane's between-requests re-escalation to root would let a
-	// concurrent sibling open a root-only document and leak it.
-	cred vos.Cred
-
-	variants []*variantRT
-
-	// Rendezvous scratch, reused across iterations so the steady-state
-	// monitor loop allocates nothing: the arrival slice, the canonical
-	// argument vector, the payload-gathering buffers, and the pinned
-	// open-file descriptions of the write path.
-	msgs   []*callMsg
-	canon  []word.Word
-	ioBuf  []byte // reference-variant payloads and shared-read staging
-	cmpBuf []byte // other variants' payloads during cross-checking
-	pin    []*vos.OpenFile
-
-	// Live-set view (monitor-goroutine private, synced from the
-	// group-wide evicted mask at the top of each gather round): dead is
-	// the local copy of the eviction bitmask, live the surviving count,
-	// ref the lowest live index — the variant every cross-check
-	// compares against (variant 0 until it is evicted, so unanimous
-	// groups behave and report byte-identically).
-	dead uint64
-	live int
-	ref  int
-
-	rendezvous int
-	exited     bool
 }
 
 // newLane allocates lane id with fresh per-variant address spaces and
 // mailboxes, starting from the group's initial credentials. The lane
 // is not yet registered or running.
 func (s *system) newLane(id int) *lane {
-	l := &lane{sys: s, id: id, cred: s.cfg.Cred, live: s.n}
+	l := &lane{
+		sys:   s,
+		id:    id,
+		cred:  s.cfg.Cred,
+		all:   ^uint64(0) >> uint(64-s.n),
+		seen:  -1,
+		slots: make([]*callMsg, s.n),
+		msgs:  make([]*callMsg, s.n),
+	}
 	l.variants = make([]*variantRT, s.n)
 	for i := 0; i < s.n; i++ {
-		l.variants[i] = &variantRT{
-			id:    i,
-			calls: make(chan *callMsg),
-			done:  make(chan struct{}),
-			mem:   vmem.New(s.parts[i]),
-		}
-		if s.cfg.Quorum > 0 {
-			l.variants[i].gone = make(chan struct{})
-		}
-		l.variants[i].msg.reply = make(chan sys.Reply, 1)
+		v := &variantRT{id: i, bit: 1 << uint(i), mem: vmem.New(s.parts[i])}
+		v.msg.reply = make(chan sys.Reply, 1)
+		l.variants[i] = v
 	}
-	l.msgs = make([]*callMsg, s.n)
 	return l
 }
 
 // spawnWorkerLane starts worker lane id running the given worker
-// bodies (one per variant) with its own monitor goroutine. cred is
-// the forking lane's credentials at prefork time — the fork-copied
-// identity the worker starts with.
+// bodies (one per variant). cred is the forking lane's credentials at
+// prefork time — the fork-copied identity the worker starts with.
 func (s *system) spawnWorkerLane(id int, workers []sys.WorkerProgram, cred vos.Cred) {
 	l := s.newLane(id)
 	l.cred = cred
-	for i := 0; i < s.n; i++ {
-		v := l.variants[i]
-		wp := workers[i]
-		ctx := sys.NewContext(i, s.n, v.mem, s.invokerFor(l, v))
-		ctx.Worker = id
-		go func() {
-			defer close(v.done)
-			err := wp.RunWorker(ctx, id)
-			if err == nil && !ctx.Exited() {
-				err = ctx.Exit(0)
-			}
-			if err != nil && !errors.Is(err, sys.ErrKilled) {
-				v.err = err
-			}
-		}()
-	}
 	s.mu.Lock()
 	s.lanes = append(s.lanes, l)
-	if g := s.evicted.Load(); g != 0 {
-		// The group degraded before this worker lane registered (a
-		// prefork racing an eviction): close the evicted variants' gone
-		// channels here, in the same critical section tryEvict's
-		// roster-wide close runs under, so the new lane's variants
-		// cannot miss the signal.
-		for i := 0; i < s.n; i++ {
-			if g&(1<<uint(i)) != 0 {
-				close(l.variants[i].gone)
-			}
-		}
+	if s.killedNow() {
+		// The group died while forking, after kill's fan-out retired
+		// the roster: the lane is born retired, so its variants are
+		// answered Killed at their first syscall.
+		l.retired, l.finished = true, true
+	} else {
+		s.running.Add(1)
 	}
 	s.mu.Unlock()
-	s.monitors.Add(1)
-	go func() {
-		defer s.monitors.Done()
-		l.monitor()
-	}()
-}
-
-// monitor runs the lane's rendezvous loop until exit, alarm, or a
-// sibling lane's kill. The rendezvous deadline is amortized: the timer
-// is armed once and checked lazily against rendezvous progress when it
-// fires, instead of being reset and drained on every iteration. A
-// stalled rendezvous is therefore detected after between one and two
-// Timeouts (never before Timeout), trading alarm latency bounded by 2×
-// for zero timer traffic on the hot path.
-func (l *lane) monitor() {
-	s := l.sys
-	timer := time.NewTimer(s.cfg.Timeout)
-	defer timer.Stop()
-	armedAt := 0 // rendezvous count when the timer was last armed
-	for {
-		l.syncLive()
-		for i := range l.msgs {
-			l.msgs[i] = nil
-		}
-		for i, v := range l.variants {
-			if l.dead&(1<<uint(i)) != 0 {
-				// Evicted in an earlier round (or earlier this round):
-				// nobody gathers this variant anymore.
-				continue
-			}
-		arrival:
-			for {
-				select {
-				case m := <-v.calls:
-					l.msgs[i] = m
-					break arrival
-				case <-v.done:
-					// A variant died without reaching the rendezvous: a
-					// variant fault. With a quorum and enough live
-					// survivors the group evicts it and degrades;
-					// otherwise (unanimous, or quorum lost) the fault
-					// kills the group as before.
-					detail := "variant terminated unexpectedly"
-					if v.err != nil {
-						detail = v.err.Error()
-					}
-					if l.tryEvict(i, FaultCrash, detail) {
-						l.reapDead()
-						break arrival
-					}
-					reason := ReasonVariantFault
-					if s.cfg.Quorum > 0 {
-						reason = ReasonQuorumLost
-					}
-					l.raise(&Alarm{
-						Reason:  reason,
-						Syscall: "(none)",
-						Seq:     l.rendezvous,
-						Variant: i,
-						Detail:  detail,
-					}, l.msgs)
-					return
-				case <-v.gone:
-					// A sibling lane evicted this variant while we were
-					// waiting for it: adopt the group's live set and move
-					// on. (Receiving on the nil gone channel of a
-					// no-quorum group blocks forever, i.e. this case is
-					// compiled out of the unanimous contract.)
-					l.applyDead(s.evicted.Load())
-					l.reapDead()
-					break arrival
-				case <-s.killed:
-					// A sibling lane alarmed (or the group is being
-					// torn down): retire this lane, releasing the
-					// variants already gathered.
-					l.killGathered()
-					return
-				case <-timer.C:
-					if l.rendezvous != armedAt {
-						// Progress since the last arming: re-arm for a
-						// fresh window and keep waiting.
-						armedAt = l.rendezvous
-						timer.Reset(s.cfg.Timeout)
-						continue
-					}
-					detail := fmt.Sprintf("variant %d did not reach rendezvous within %v", i, s.cfg.Timeout)
-					if l.tryEvict(i, FaultStall, detail) {
-						l.reapDead()
-						armedAt = l.rendezvous
-						timer.Reset(s.cfg.Timeout)
-						break arrival
-					}
-					reason := ReasonTimeout
-					if s.cfg.Quorum > 0 {
-						reason = ReasonQuorumLost
-					}
-					l.raise(&Alarm{
-						Reason:  reason,
-						Syscall: "(none)",
-						Seq:     l.rendezvous,
-						Variant: i,
-						Detail:  detail,
-					}, l.msgs)
-					return
-				}
-			}
-		}
-
-		l.rendezvous++
-		s.vtime.Add(1)
-		if m := s.cfg.Metrics; m != nil {
-			// Timed rendezvous: two clock reads and a few atomic adds —
-			// the loop stays allocation-free (proven by
-			// TestInstrumentedRendezvousZeroAlloc and the bench gate).
-			start := time.Now()
-			num := l.msgs[l.ref].call.Num
-			stop := l.dispatch(l.msgs)
-			m.observeRendezvous(num, time.Since(start))
-			if stop {
-				return
-			}
-			continue
-		}
-		if l.dispatch(l.msgs) {
-			return
-		}
+	s.alive.Add(int32(s.n))
+	for i, v := range l.variants {
+		wp := workers[i]
+		s.start(l, v, func(ctx *sys.Context) error { return wp.RunWorker(ctx, id) })
 	}
 }
 
-// syncLive refreshes the lane's private live-set view from the
-// group-wide eviction mask. Called at the top of every gather round:
-// one branch for unanimous groups, one atomic load for quorum groups —
-// the steady-state loop stays allocation- and lock-free.
-func (l *lane) syncLive() {
-	if l.sys.cfg.Quorum <= 0 {
-		return
-	}
-	if g := l.sys.evicted.Load(); g != l.dead {
+// syncLive installs eviction mask g as the lane's live-set view if it
+// changed: one compare, and for unanimous groups g is always 0.
+func (l *lane) syncLive(g uint64) {
+	if g != l.dead {
 		l.applyDead(g)
 	}
 }
 
 // applyDead installs eviction mask g as the lane's live-set view:
-// dead/live/ref are recomputed in place (no slice rebuild). ref is the
+// dead and ref are recomputed in place (no slice rebuild). ref is the
 // lowest live index — the reference every cross-check compares
 // against, variant 0 until variant 0 itself is evicted, so unanimous
 // groups behave and report byte-identically.
 func (l *lane) applyDead(g uint64) {
 	l.dead = g
-	l.live = l.sys.n - bits.OnesCount64(g)
 	l.ref = bits.TrailingZeros64(^g)
 }
 
-// reapDead restores the gather invariant after a mid-round live-set
-// change: any already-gathered arrival whose variant is now dead is
-// answered Killed and its slot cleared, so a non-nil slot always
-// belongs to a live variant when the round dispatches.
-func (l *lane) reapDead() {
-	for j, m := range l.msgs {
+// reapDead restores the round invariant after a mid-round live-set
+// change: any claimed arrival whose variant is now dead is answered
+// Killed and its slot cleared, so a non-nil slot always belongs to a
+// live variant when the round dispatches.
+func (l *lane) reapDead(msgs []*callMsg) {
+	for j, m := range msgs {
 		if m != nil && l.dead&(1<<uint(j)) != 0 {
-			m.reply <- sys.Reply{Killed: true}
-			l.msgs[j] = nil
+			m.answer(sys.Reply{Killed: true})
+			msgs[j] = nil
 		}
 	}
+}
+
+// fault absorbs variant i's fault of the given kind, observed by the
+// goroutine holding the lane's claim: with a quorum and enough live
+// survivors the variant is evicted, pending arrivals the live set
+// dropped are answered Killed, and fault returns true; otherwise
+// (unanimous, or quorum lost) the fault kills the group.
+func (l *lane) fault(i int, kind FaultKind, detail string, pending []*callMsg) bool {
+	if l.tryEvict(i, kind, detail) {
+		l.reapDead(pending)
+		return true
+	}
+	reason := ReasonVariantFault
+	if kind == FaultStall {
+		reason = ReasonTimeout
+	}
+	if l.sys.cfg.Quorum > 0 {
+		reason = ReasonQuorumLost
+	}
+	l.raise(&Alarm{
+		Reason:  reason,
+		Syscall: "(none)",
+		Seq:     l.rendezvous,
+		Variant: i,
+		Detail:  detail,
+	}, pending)
+	return false
 }
 
 // tryEvict attempts to absorb a variant fault by eviction: with a
 // quorum configured, no alarm pending, and at least Quorum variants
 // live after dropping the faulted one, the variant is evicted
-// group-wide (audit entry appended, every lane's gone channel closed)
-// and the lane adopts the new live set. It returns false when the
-// fault must kill the group instead — no quorum configured, or
-// evicting would fall below K.
+// group-wide (audit entry appended, dropped from every lane's
+// gathering round) and the lane adopts the new live set. It returns
+// false when the fault must kill the group instead — no quorum
+// configured, or evicting would fall below K.
 func (l *lane) tryEvict(variant int, kind FaultKind, detail string) bool {
 	s := l.sys
 	if s.cfg.Quorum <= 0 {
@@ -707,11 +530,15 @@ func (l *lane) tryEvict(variant int, kind FaultKind, detail string) bool {
 		Detail:  detail,
 	}
 	s.evictions = append(s.evictions, ev)
-	// Closing under mu pairs with lane registration in spawnWorkerLane:
-	// every lane either sees the mask at registration or gets its gone
-	// channels closed here — never neither.
+	// Drop the variant from every lane under mu, which orders this
+	// against lane registration in spawnWorkerLane. A round the
+	// eviction completes is claimed here and passed on below, once no
+	// lock is held.
+	var claimed []*lane
 	for _, other := range s.lanes {
-		close(other.variants[variant].gone)
+		if other.drop(variant) {
+			claimed = append(claimed, other)
+		}
 	}
 	s.mu.Unlock()
 	if m := s.cfg.Metrics; m != nil {
@@ -721,26 +548,18 @@ func (l *lane) tryEvict(variant int, kind FaultKind, detail string) bool {
 		fn(ev)
 	}
 	l.applyDead(g)
+	for _, c := range claimed {
+		c.pass()
+	}
 	return true
 }
 
-// killGathered answers every already-gathered arrival with Killed.
-// Variants not yet at the rendezvous are unwound by the end-of-Run
-// drain.
-func (l *lane) killGathered() {
-	for _, m := range l.msgs {
-		if m != nil {
-			m.reply <- sys.Reply{Killed: true}
-		}
-	}
-}
-
 // raise records the alarm (first alarm wins group-wide), kills the
-// gathered variants of this lane, and tears the whole group down — as
-// the paper's kernel SIGKILLs the process group: every descriptor is
-// released, which unblocks sibling lanes parked in accept/recv so
-// their monitors retire too. Closing connections is what a remote
-// attacker observes: the connection drops with no response.
+// pending arrivals of this lane's claimed round, and tears the whole
+// group down — as the paper's kernel SIGKILLs the process group: every
+// descriptor is released, which unblocks sibling lanes parked in
+// accept/recv so their rounds end too. Closing connections is what a
+// remote attacker observes: the connection drops with no response.
 func (l *lane) raise(a *Alarm, pending []*callMsg) {
 	s := l.sys
 	a.Worker = l.id
@@ -758,7 +577,7 @@ func (l *lane) raise(a *Alarm, pending []*callMsg) {
 	s.mu.Unlock()
 	for _, m := range pending {
 		if m != nil {
-			m.reply <- sys.Reply{Killed: true}
+			m.answer(sys.Reply{Killed: true})
 		}
 	}
 	s.kill()
@@ -769,11 +588,19 @@ func (l *lane) raise(a *Alarm, pending []*callMsg) {
 	}
 }
 
-// kill signals the group-wide teardown and releases every descriptor.
+// kill signals the group-wide teardown, releases every descriptor and
+// retires every lane: arrivals parked in a gathering round are
+// answered Killed at once, and a lane whose round is running retires
+// when its owner releases it.
 func (s *system) kill() {
 	s.killOnce.Do(func() { close(s.killed) })
 	s.mu.Lock()
 	s.closeAllLocked()
+	for _, l := range s.lanes {
+		l.mu.Lock()
+		l.retireLocked()
+		l.mu.Unlock()
+	}
 	s.mu.Unlock()
 }
 
@@ -788,7 +615,7 @@ func (s *system) killedNow() bool {
 }
 
 // dispatch checks rendezvous equivalence and executes the syscall.
-// It returns true when the lane's monitor loop should stop. Slots of
+// It returns true when the lane retires. Slots of
 // evicted variants are nil (degraded mode); every cross-check compares
 // the live variants against the reference variant l.ref.
 func (l *lane) dispatch(msgs []*callMsg) bool {
@@ -997,7 +824,7 @@ func (l *lane) canonicalArgs(spec sys.Spec, msgs []*callMsg, seq int) ([]word.Wo
 func replyAll(msgs []*callMsg, r sys.Reply) {
 	for _, m := range msgs {
 		if m != nil {
-			m.reply <- r
+			m.answer(r)
 		}
 	}
 }
@@ -1014,7 +841,7 @@ func replyErrno(msgs []*callMsg, err error) {
 // replyFail answers a failed blocking operation: with Killed when the
 // group has been torn down (so variants unwind via ErrKilled instead
 // of mistaking the teardown for an errno), with the errno otherwise.
-// It returns true when the lane monitor should stop.
+// It returns true when the lane retires.
 func (l *lane) replyFail(msgs []*callMsg, err error) bool {
 	if l.sys.killedNow() {
 		replyAll(msgs, sys.Reply{Killed: true})

@@ -23,8 +23,8 @@ type FaultHook interface {
 	// slow-syscall / lane-stall fault — transparent while it stays
 	// under the rendezvous Timeout), and crash kills the variant
 	// without reaching the rendezvous (the crash-and-drain fault: the
-	// monitor sees the variant die and raises a variant-fault alarm if
-	// siblings are healthy).
+	// variant's departure is settled as a variant-fault alarm, or an
+	// eviction under a quorum, when its lane's round completes).
 	PreSyscall(worker, variant int, num sys.Num) (stall time.Duration, crash bool)
 }
 
@@ -44,8 +44,12 @@ type Config struct {
 	// Unshared is the set of paths with per-variant file versions
 	// ("/etc/passwd" is served as "/etc/passwd-0" / "/etc/passwd-1").
 	Unshared map[string]bool
-	// Timeout bounds how long the monitor waits for all variants to
-	// reach a rendezvous before raising a timeout alarm.
+	// Timeout bounds how long a partly gathered rendezvous waits for
+	// its missing variants: the group's watchdog detects the stall
+	// between one and two Timeouts after the lane's last rendezvous and
+	// raises a timeout alarm (or evicts, with a quorum). It is also the
+	// grace period Run gives the variants to return after the group
+	// ends.
 	Timeout time.Duration
 	// Cred is the initial (real) credential set of the process group.
 	Cred vos.Cred
@@ -68,9 +72,11 @@ type Config struct {
 	Quorum int
 	// OnEvict, when set, is called once per quorum eviction after the
 	// variant has been dropped from every lane's live set — the fleet's
-	// hook for audit entries and background respawn. Called from a lane
-	// monitor goroutine with no kernel locks held; implementations must
-	// be safe for concurrent use across lanes.
+	// hook for audit entries and background respawn. Called with no
+	// kernel locks held from the goroutine that absorbed the fault — a
+	// variant's own goroutine or the stall watchdog — so it must not
+	// block for long; implementations must be safe for concurrent use
+	// across lanes.
 	OnEvict func(Eviction)
 }
 

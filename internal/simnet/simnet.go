@@ -209,7 +209,8 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// message is one unit in flight.
+// message is one unit in flight. readyAt is zero when the message
+// crosses the wire without delay.
 type message struct {
 	data    []byte
 	readyAt time.Time
@@ -272,10 +273,20 @@ func PutBuffer(b []byte) {
 // Conn is one endpoint of a bidirectional message connection.
 type Conn struct {
 	net       *Network
-	in        chan message
 	peer      *Conn
 	closed    chan struct{}
 	closeOnce sync.Once
+
+	// The messages in flight to this endpoint: a ring of at most
+	// backlog messages, grown as they accumulate, so a connection
+	// costs memory in proportion to what it carries. wake (one token)
+	// rouses a receiver parked on an empty ring or a sender parked on
+	// a full one; either re-checks under mu.
+	mu   sync.Mutex
+	ring []message
+	head int
+	n    int
+	wake chan struct{}
 
 	// faultMu guards held, the parking slot a Hold verdict reorders
 	// messages through. Both are touched only when a fault injector is
@@ -285,10 +296,71 @@ type Conn struct {
 }
 
 func newPair(n *Network) (a, b *Conn) {
-	a = &Conn{net: n, in: make(chan message, backlog), closed: make(chan struct{})}
-	b = &Conn{net: n, in: make(chan message, backlog), closed: make(chan struct{})}
+	a = &Conn{net: n, closed: make(chan struct{}), wake: make(chan struct{}, 1)}
+	b = &Conn{net: n, closed: make(chan struct{}), wake: make(chan struct{}, 1)}
 	a.peer, b.peer = b, a
 	return a, b
+}
+
+// signal leaves a wake token for a parked receiver or sender; a token
+// already waiting suffices.
+func (c *Conn) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// push enqueues msg on c's ring unless backlog messages are already in
+// flight. The first message into an empty ring wakes a parked
+// receiver; a sender that had parked passes the token on while room
+// remains, for the next parked sender.
+func (c *Conn) push(msg message, parked bool) bool {
+	c.mu.Lock()
+	if c.n == backlog {
+		c.mu.Unlock()
+		return false
+	}
+	if c.n == len(c.ring) {
+		size := 2 * len(c.ring)
+		if size == 0 {
+			size = 2
+		}
+		ring := make([]message, min(size, backlog))
+		for i := 0; i < c.n; i++ {
+			ring[i] = c.ring[(c.head+i)%len(c.ring)]
+		}
+		c.ring, c.head = ring, 0
+	}
+	c.ring[(c.head+c.n)%len(c.ring)] = msg
+	c.n++
+	wake := c.n == 1 || (parked && c.n < backlog)
+	c.mu.Unlock()
+	if wake {
+		c.signal()
+	}
+	return true
+}
+
+// pop dequeues the oldest message on c's ring. Taking one from a full
+// ring wakes a parked sender; a receiver that had parked passes the
+// token on while messages remain, for the next parked receiver.
+func (c *Conn) pop(parked bool) (message, bool) {
+	c.mu.Lock()
+	if c.n == 0 {
+		c.mu.Unlock()
+		return message{}, false
+	}
+	msg := c.ring[c.head]
+	c.ring[c.head] = message{}
+	c.head = (c.head + 1) % len(c.ring)
+	wake := c.n == backlog || (parked && c.n > 1)
+	c.n--
+	c.mu.Unlock()
+	if wake {
+		c.signal()
+	}
+	return msg, true
 }
 
 // Send transmits data to the peer. The data is copied (into a pooled
@@ -329,17 +401,29 @@ func (c *Conn) sendRaw(data []byte, extra time.Duration) error {
 		return fmt.Errorf("send: peer: %w", ErrClosed)
 	default:
 	}
-	return c.deliver(message{data: data, readyAt: time.Now().Add(c.net.latency + extra)})
+	return c.deliver(message{data: data, readyAt: c.readyAt(extra)})
 }
 
-// deliver enqueues a ready message at the peer.
-func (c *Conn) deliver(msg message) error {
-	select {
-	case c.peer.in <- msg:
-		return nil
-	case <-c.peer.closed:
-		return fmt.Errorf("send: peer: %w", ErrClosed)
+// readyAt is when a message sent now with extra delay has crossed the
+// wire — zero, without reading the clock, when there is no delay.
+func (c *Conn) readyAt(extra time.Duration) time.Time {
+	if d := c.net.latency + extra; d > 0 {
+		return time.Now().Add(d)
 	}
+	return time.Time{}
+}
+
+// deliver enqueues a ready message at the peer, waiting while the
+// peer has backlog messages in flight.
+func (c *Conn) deliver(msg message) error {
+	for parked := false; !c.peer.push(msg, parked); parked = true {
+		select {
+		case <-c.peer.wake:
+		case <-c.peer.closed:
+			return fmt.Errorf("send: peer: %w", ErrClosed)
+		}
+	}
+	return nil
 }
 
 // sendFaulty is the injected-fault send path: it asks the injector for
@@ -372,7 +456,7 @@ func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 		data = data[:v.TruncateTo]
 	}
 	if v.Hold > 0 {
-		msg := &message{data: data, readyAt: time.Now().Add(c.net.latency + v.Delay)}
+		msg := &message{data: data, readyAt: c.readyAt(v.Delay)}
 		c.faultMu.Lock()
 		prev := c.held
 		c.held = msg
@@ -405,9 +489,7 @@ func (c *Conn) sendFaulty(f FaultInjector, data []byte) error {
 // down holding its mutex), so a full peer backlog must lose the
 // message — as a congested link would — rather than wedge the caller.
 func (c *Conn) deliverHeld(msg message) {
-	select {
-	case c.peer.in <- msg:
-	default:
+	if !c.peer.push(msg, false) {
 		PutBuffer(msg.data)
 	}
 }
@@ -432,19 +514,26 @@ func (c *Conn) releaseHeld(msg *message) {
 // handed onward with SendOwned, or returned to the pool with PutBuffer
 // once its bytes are consumed.
 func (c *Conn) Recv() ([]byte, error) {
-	select {
-	case msg := <-c.in:
-		c.waitWire(msg)
-		return msg.data, nil
-	case <-c.closed:
-		return nil, fmt.Errorf("recv: %w", ErrClosed)
-	case <-c.peer.closed:
-		// The peer may have sent messages before closing; drain first.
+	for parked := false; ; parked = true {
 		select {
-		case msg := <-c.in:
+		case <-c.closed:
+			return nil, fmt.Errorf("recv: %w", ErrClosed)
+		default:
+		}
+		if msg, ok := c.pop(parked); ok {
 			c.waitWire(msg)
 			return msg.data, nil
-		default:
+		}
+		select {
+		case <-c.wake:
+		case <-c.closed:
+			return nil, fmt.Errorf("recv: %w", ErrClosed)
+		case <-c.peer.closed:
+			// The peer may have sent messages before closing; drain first.
+			if msg, ok := c.pop(parked); ok {
+				c.waitWire(msg)
+				return msg.data, nil
+			}
 			return nil, nil
 		}
 	}
@@ -452,6 +541,9 @@ func (c *Conn) Recv() ([]byte, error) {
 
 // waitWire blocks until the message has "crossed the wire".
 func (c *Conn) waitWire(msg message) {
+	if msg.readyAt.IsZero() {
+		return
+	}
 	if d := time.Until(msg.readyAt); d > 0 {
 		c.net.sleep(d)
 	}
